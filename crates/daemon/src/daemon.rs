@@ -375,22 +375,14 @@ impl Daemon {
         let (journal, view) = match &cfg.journal_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let path = dir.join("daemon.journal");
-                // Open for append *first*: it repairs whatever a crash
-                // tore (a half-written record, even a half-written
-                // header) by truncating to the valid prefix, so the
-                // load that follows always sees a clean file.
-                let journal = DaemonJournal::open_append_with(&path, cfg.io_faults.clone())?;
-                let view = DaemonJournal::load(&path)?;
+                // One pass replays the journal and repairs whatever a
+                // crash tore (a half-written record, even a half-written
+                // header) by truncating to the valid prefix.
+                let (journal, view) =
+                    DaemonJournal::open(&dir.join("daemon.journal"), cfg.io_faults.clone())?;
                 (Some(journal), view)
             }
-            None => (
-                None,
-                JournalView {
-                    next_id: 1,
-                    ..JournalView::default()
-                },
-            ),
+            None => (None, JournalView::default()),
         };
 
         // Reconstruct the ledger so `in_flight` reconciles across the

@@ -48,6 +48,8 @@ pub use journal::{DaemonJournal, JournalView, JournaledJob};
 pub use queue::{AdmissionQueue, Admit, QueuedJob};
 pub use spec::{JobKind, JobSpec, JobState, Priority};
 
+use droidsim_kernel::journal::LogError;
+
 /// This crate's errors: I/O, journal integrity, protocol violations.
 #[derive(Debug)]
 pub enum DaemonError {
@@ -78,8 +80,11 @@ impl From<std::io::Error> for DaemonError {
     }
 }
 
-/// Encodes owned `(key, value)` pairs with the kernel line codec.
-pub(crate) fn encode_fields(fields: &[(&'static str, String)]) -> String {
-    let borrowed: Vec<(&str, &str)> = fields.iter().map(|(k, v)| (*k, v.as_str())).collect();
-    droidsim_kernel::journal::encode_line(&borrowed)
+impl From<LogError> for DaemonError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Io(e) => DaemonError::Io(e),
+            LogError::Header(m) => DaemonError::Journal(m),
+        }
+    }
 }

@@ -57,7 +57,7 @@ pub mod supervise;
 pub use digest::{combine_indexed, combine_ordered, mix_indexed, Digest};
 pub use supervise::{
     run_fleet_supervised, FleetError, FleetJournal, FleetOptions, FleetReport, FleetRun,
-    JournalState, QuarantinedTask, TaskOutcome,
+    QuarantinedTask, TaskOutcome,
 };
 
 use droidsim_kernel::Xoshiro256;
@@ -210,8 +210,16 @@ impl TaskCtx {
 /// Takes a lock without honouring poisoning: no fleet worker panics
 /// while holding one (task code runs behind `catch_unwind`), and even
 /// if the invariant broke, one slot's poison must not cost the run.
-fn lock_slot<X>(m: &Mutex<X>) -> std::sync::MutexGuard<'_, X> {
+pub(crate) fn lock_slot<X>(m: &Mutex<X>) -> std::sync::MutexGuard<'_, X> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The one-line recipe that reruns task `index` alone, inline, with the
+/// exact RNG stream it had in the fleet.
+pub(crate) fn repro(seed: u64, index: usize) -> String {
+    format!(
+        "repro: DROIDSIM_JOBS=1 seed={seed} index={index} rng=Xoshiro256::stream({seed}, {index})"
+    )
 }
 
 /// Claims the next batch of task indices from the shared cursor.
@@ -360,9 +368,8 @@ where
         match o {
             Ok(r) => out.push(r),
             Err(payload) => dumps.push(format!(
-                "  task {i}: panicked ({payload}); repro: DROIDSIM_JOBS=1 \
-                 seed={} index={i} rng=Xoshiro256::stream({}, {i})",
-                cfg.seed, cfg.seed
+                "  task {i}: panicked ({payload}); {}",
+                repro(cfg.seed, i)
             )),
         }
     }
@@ -409,11 +416,9 @@ where
             Ok(d) => digest::mix_indexed(i as u64, d),
             Err(payload) => {
                 lock_slot(&failures).push(format!(
-                    "  task {i}: panicked ({}); repro: DROIDSIM_JOBS=1 \
-                     seed={} index={i} rng=Xoshiro256::stream({}, {i})",
+                    "  task {i}: panicked ({}); {}",
                     supervise::payload_text(payload),
-                    cfg.seed,
-                    cfg.seed
+                    repro(cfg.seed, i)
                 ));
                 0
             }
@@ -748,40 +753,93 @@ mod supervise_tests {
         assert_eq!(resumed.report.ledger.skipped, 4);
         assert_eq!(resumed.report.ledger.ok, 4);
         assert_eq!(resumed.combined_digest(), clean.combined_digest());
+
+        // Resuming from one journal while journaling to another reads the
+        // first and appends only to the second.
+        let before = std::fs::read(&path).unwrap();
+        let other = tmp("cancel-other");
+        let opts = FleetOptions {
+            resume: Some(path.clone()),
+            ..FleetOptions::new().with_journal(&other)
+        };
+        let again = supervised(&FleetConfig::new(1, 13), &opts);
+        assert_eq!(again.report.ledger.skipped, 8);
+        assert_eq!(again.combined_digest(), clean.combined_digest());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert!(FleetJournal::load(&other, 13, 8).unwrap().is_empty());
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&other);
     }
 
     #[test]
     fn journal_then_resume_reproduces_the_uninterrupted_digest() {
         let cfg = FleetConfig::new(2, 13);
-        let clean = supervised(&cfg, &FleetOptions::new());
+        let clean = supervised(&cfg, &FleetOptions::new()).combined_digest();
 
-        // First run journals everything…
+        // First run journals everything, in index order…
         let path = tmp("resume");
-        let run = supervised(&cfg, &FleetOptions::new().with_journal(&path));
-        assert_eq!(run.combined_digest(), clean.combined_digest());
-
-        // …then the file is truncated to the header + half the tasks,
-        // with a torn final line — exactly what a crash leaves behind.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 9, "header + 8 tasks");
-        let mut kept = lines[..5].join("\n");
-        kept.push('\n');
-        kept.push_str("kind=task index=6 outco"); // torn mid-write
-        std::fs::write(&path, kept).unwrap();
-
-        let state = FleetJournal::load(&path).unwrap();
-        assert_eq!(state.completed.len(), 4, "torn line discarded");
-
-        let resumed = supervised(&cfg, &FleetOptions::new().resuming(&path));
-        assert_eq!(resumed.report.ledger.skipped, 4);
-        assert_eq!(resumed.report.ledger.ok, 4);
-        assert_eq!(
-            resumed.combined_digest(),
-            clean.combined_digest(),
-            "a resumed run must digest identically to an uninterrupted one"
+        let run = supervised(
+            &FleetConfig::new(1, 13),
+            &FleetOptions::new().with_journal(&path),
         );
+        assert_eq!(run.combined_digest(), clean);
+        let full = std::fs::read(&path).unwrap();
+        assert_eq!(
+            full.iter().filter(|&&b| b == b'\n').count(),
+            9,
+            "header + 8 tasks"
+        );
+
+        // …then a crash cuts it at every byte offset in turn. Each cut
+        // resumes to the uninterrupted digest, reusing exactly the task
+        // lines whose newline made it to disk; a cut inside the header
+        // restarts the journal empty.
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let complete = full[..cut].iter().filter(|&&b| b == b'\n').count();
+            let resumed = supervised(&cfg, &FleetOptions::new().resuming(&path));
+            assert_eq!(
+                resumed.report.ledger.skipped,
+                complete.saturating_sub(1) as u64,
+                "cut at byte {cut}"
+            );
+            assert_eq!(
+                resumed.combined_digest(),
+                clean,
+                "cut at byte {cut}: a resumed run must digest identically to an uninterrupted one"
+            );
+        }
+
+        // Crash → resume → crash → resume: the first resume appends one
+        // record onto a torn tail and is cancelled, the second finishes.
+        let lines: Vec<&[u8]> = full.split_inclusive(|&b| b == b'\n').collect();
+        let mut torn = lines[..5].concat();
+        torn.extend_from_slice(b"kind=task index=6 outco");
+        std::fs::write(&path, torn).unwrap();
+        let token = CancelToken::new();
+        let interrupted = run_fleet_supervised(
+            &FleetConfig::new(1, 13),
+            &FleetOptions::new()
+                .resuming(&path)
+                .with_cancel(token.clone()),
+            (0..8).collect(),
+            move |ctx, n: usize| {
+                token.cancel();
+                chain(ctx, n)
+            },
+            |r: &u64| *r,
+        )
+        .unwrap();
+        assert_eq!(interrupted.report.ledger.skipped, 4);
+        assert_eq!(interrupted.report.ledger.ok, 1);
+        let completed = FleetJournal::load(&path, 13, 8).unwrap();
+        assert_eq!(
+            completed.keys().copied().collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        let resumed = supervised(&cfg, &FleetOptions::new().resuming(&path));
+        assert_eq!(resumed.report.ledger.skipped, 5);
+        assert_eq!(resumed.combined_digest(), clean);
         let _ = std::fs::remove_file(&path);
     }
 

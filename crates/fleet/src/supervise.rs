@@ -37,18 +37,16 @@
 //! it strikes the first attempt only, and the retry succeeds.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_kernel::journal;
+use droidsim_kernel::journal::{self, AppendLog, Fields, LogError, NoFaults};
 use droidsim_metrics::FleetLedger;
 
-use crate::{combine_ordered, CancelToken, FleetConfig, TaskCtx};
+use crate::{combine_ordered, lock_slot, CancelToken, FleetConfig, TaskCtx};
 
 /// How one fleet task ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,60 +243,71 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
-/// The append-only checkpoint journal: a header line naming the run
-/// (seed + item count), then one line per completed task. Lines are
-/// written through [`droidsim_kernel::journal`] and fsync'd one by one,
-/// so a crash leaves at most one truncated line — which the loader
-/// discards along with everything after it.
-#[derive(Debug)]
-pub struct FleetJournal {
-    file: File,
+impl From<LogError> for FleetError {
+    fn from(e: LogError) -> Self {
+        match e {
+            LogError::Io(e) => FleetError::Io(e),
+            LogError::Header(m) => FleetError::Journal(m),
+        }
+    }
 }
 
-/// What a journal recorded before the run was interrupted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalState {
-    /// The interrupted run's root seed.
-    pub seed: u64,
-    /// The interrupted run's item count.
-    pub items: usize,
-    /// Digest per task index recorded `ok`.
-    pub completed: BTreeMap<usize, u64>,
+/// The append-only checkpoint journal: a header line naming the run
+/// (seed + item count), then one line per completed task. It is a
+/// record schema over the kernel's [`AppendLog`], so every line is one
+/// fsync'd write, and a crash costs at most the line being written:
+/// reopening truncates the torn tail before anything is appended.
+#[derive(Debug)]
+pub struct FleetJournal {
+    log: AppendLog,
+}
+
+fn header(seed: u64, items: usize) -> [(&'static str, String); 3] {
+    [
+        ("kind", "header".to_owned()),
+        ("seed", seed.to_string()),
+        ("items", items.to_string()),
+    ]
+}
+
+/// Folds one replayed task line into `completed` (index → digest of
+/// tasks recorded `ok`). Quarantined entries are kept in the file but
+/// *not* treated as completed — a resumed run retries them. Any other
+/// line ends the replay.
+fn accept_task(fields: &Fields, items: usize, completed: &mut BTreeMap<usize, u64>) -> bool {
+    if journal::field(fields, "kind") != Some("task") {
+        return false;
+    }
+    let index = journal::field(fields, "index").and_then(|v| v.parse::<usize>().ok());
+    let outcome = journal::field(fields, "outcome");
+    let (Some(index), Some(outcome), Some(digest)) =
+        (index, outcome, journal::field(fields, "digest"))
+    else {
+        return false;
+    };
+    if outcome == "ok" && index < items {
+        if let Ok(d) = u64::from_str_radix(digest, 16) {
+            completed.insert(index, d);
+        }
+    }
+    true
 }
 
 impl FleetJournal {
     /// Opens `path` for appending, writing the header when the file is
-    /// new or empty. An existing header must match `seed` and `items`.
-    pub fn create_or_append(
+    /// new, empty or torn before its first newline, and returns the
+    /// digest per task index the journal already records `ok`. An
+    /// existing header must match `seed` and `items`.
+    pub fn open(
         path: &Path,
         seed: u64,
         items: usize,
-    ) -> Result<FleetJournal, FleetError> {
-        let exists = path.exists() && std::fs::metadata(path)?.len() > 0;
-        if exists {
-            let state = FleetJournal::load(path)?;
-            if state.seed != seed || state.items != items {
-                return Err(FleetError::Journal(format!(
-                    "{} belongs to a different run (seed {} items {}, this run: seed {} items {})",
-                    path.display(),
-                    state.seed,
-                    state.items,
-                    seed,
-                    items
-                )));
-            }
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if !exists {
-            let header = journal::encode_line(&[
-                ("kind", "header"),
-                ("seed", &seed.to_string()),
-                ("items", &items.to_string()),
-            ]);
-            writeln!(file, "{header}")?;
-            file.sync_data()?;
-        }
-        Ok(FleetJournal { file })
+    ) -> Result<(FleetJournal, BTreeMap<usize, u64>), FleetError> {
+        let mut completed = BTreeMap::new();
+        let log = AppendLog::open(path, &header(seed, items), NoFaults, |f| {
+            accept_task(f, items, &mut completed)
+        })?;
+        Ok((FleetJournal { log }, completed))
     }
 
     /// Appends and fsyncs one completed-task line.
@@ -310,75 +319,24 @@ impl FleetJournal {
         attempts: u32,
     ) -> Result<(), FleetError> {
         let digest_hex = digest.map(|d| format!("{d:016x}")).unwrap_or_default();
-        let line = journal::encode_line(&[
+        Ok(self.log.append(&[
             ("kind", "task"),
             ("index", &index.to_string()),
             ("outcome", tag),
             ("digest", &digest_hex),
             ("attempts", &attempts.to_string()),
-        ]);
-        writeln!(self.file, "{line}")?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        Ok(())
+        ])?)
     }
 
-    /// Reads a journal back, stopping silently at the first malformed
-    /// (truncated) line. Quarantined entries are *not* treated as
-    /// completed — a resumed run retries them.
-    pub fn load(path: &Path) -> Result<JournalState, FleetError> {
-        let reader = BufReader::new(File::open(path)?);
-        let mut lines = reader.lines();
-        let header = lines
-            .next()
-            .transpose()?
-            .and_then(|l| journal::decode_line(&l))
-            .ok_or_else(|| {
-                FleetError::Journal(format!("{}: missing or unreadable header", path.display()))
-            })?;
-        if journal::field(&header, "kind") != Some("header") {
-            return Err(FleetError::Journal(format!(
-                "{}: first line is not a header",
-                path.display()
-            )));
-        }
-        let parse_u64 = |key: &str| -> Result<u64, FleetError> {
-            journal::field(&header, key)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| {
-                    FleetError::Journal(format!("{}: header lacks {key}", path.display()))
-                })
-        };
-        let seed = parse_u64("seed")?;
-        let items = parse_u64("items")? as usize;
+    /// Reads a journal of the run (`seed`, `items`) back without
+    /// repairing it: the digest per task index recorded `ok`, up to the
+    /// first torn or malformed line.
+    pub fn load(path: &Path, seed: u64, items: usize) -> Result<BTreeMap<usize, u64>, FleetError> {
         let mut completed = BTreeMap::new();
-        for line in lines {
-            let Some(fields) = journal::decode_line(&line?) else {
-                break; // truncated tail — everything before it stands
-            };
-            if journal::field(&fields, "kind") != Some("task") {
-                break;
-            }
-            let entry = (|| {
-                let index: usize = journal::field(&fields, "index")?.parse().ok()?;
-                let outcome = journal::field(&fields, "outcome")?;
-                let digest = journal::field(&fields, "digest")?;
-                Some((index, outcome.to_owned(), digest.to_owned()))
-            })();
-            let Some((index, outcome, digest)) = entry else {
-                break;
-            };
-            if outcome == "ok" && index < items {
-                if let Ok(d) = u64::from_str_radix(&digest, 16) {
-                    completed.insert(index, d);
-                }
-            }
-        }
-        Ok(JournalState {
-            seed,
-            items,
-            completed,
-        })
+        journal::replay(path, &header(seed, items), |f| {
+            accept_task(f, items, &mut completed)
+        })?;
+        Ok(completed)
     }
 }
 
@@ -402,11 +360,8 @@ impl QuarantinedTask {
     /// exact RNG stream it had in the fleet.
     pub fn repro_line(&self) -> String {
         format!(
-            "repro: DROIDSIM_JOBS=1 seed={} index={} rng=Xoshiro256::stream({}, {}) last-attempt={}{}",
-            self.seed,
-            self.index,
-            self.seed,
-            self.index,
+            "{} last-attempt={}{}",
+            crate::repro(self.seed, self.index),
             self.kind,
             if self.payload.is_empty() {
                 String::new()
@@ -641,13 +596,6 @@ struct TaskRecord<R> {
     latencies_ms: Vec<f64>,
 }
 
-fn lock<X>(m: &Mutex<X>) -> std::sync::MutexGuard<'_, X> {
-    // Workers never panic while holding a lock (every attempt is behind
-    // catch_unwind), but a poisoned mutex must still not poison the
-    // whole fleet: take the data regardless.
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Runs `run` over every item like [`run_fleet`](crate::run_fleet), but
 /// crash-safe: the returned [`FleetRun`] has one [`TaskOutcome`] per
 /// item in item order, and a failing task quarantines instead of
@@ -672,29 +620,20 @@ where
     D: Fn(&R) -> u64 + Sync,
 {
     let n = items.len();
-    let resumed: BTreeMap<usize, u64> = match &opts.resume {
-        Some(path) if path.exists() => {
-            let state = FleetJournal::load(path)?;
-            if state.seed != cfg.seed || state.items != n {
-                return Err(FleetError::Journal(format!(
-                    "{} belongs to a different run (seed {} items {}, this run: seed {} items {})",
-                    path.display(),
-                    state.seed,
-                    state.items,
-                    cfg.seed,
-                    n
-                )));
-            }
-            state.completed
+    let (journal, mut resumed) = match &opts.journal {
+        Some(path) => {
+            let (journal, completed) = FleetJournal::open(path, cfg.seed, n)?;
+            (Some(Mutex::new(journal)), completed)
         }
-        _ => BTreeMap::new(),
+        None => (None, BTreeMap::new()),
     };
-    let journal = match &opts.journal {
-        Some(path) => Some(Mutex::new(FleetJournal::create_or_append(
-            path, cfg.seed, n,
-        )?)),
-        None => None,
-    };
+    // Resuming from the journal being appended to reuses its replay.
+    if opts.resume != opts.journal {
+        resumed = match &opts.resume {
+            Some(path) if path.exists() => FleetJournal::load(path, cfg.seed, n)?,
+            _ => BTreeMap::new(),
+        };
+    }
 
     let run = Arc::new(run);
     let records: Vec<Mutex<Option<TaskRecord<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -703,7 +642,7 @@ where
     let cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
     let worker_body = |i: usize| {
         if let Some(&digest) = resumed.get(&i) {
-            *lock(&records[i]) = Some(TaskRecord {
+            *lock_slot(&records[i]) = Some(TaskRecord {
                 outcome: TaskOutcome::Skipped { index: i, digest },
                 digest: Some(digest),
                 retries: 0,
@@ -754,7 +693,7 @@ where
                 Attempt::Done(r) => {
                     let digest = digest_of(&r);
                     if let Some(j) = &journal {
-                        let _ = lock(j).record(i, "ok", Some(digest), attempt + 1);
+                        let _ = lock_slot(j).record(i, "ok", Some(digest), attempt + 1);
                     }
                     rec.digest = Some(digest);
                     rec.outcome = TaskOutcome::Ok(r);
@@ -776,7 +715,7 @@ where
                 continue;
             }
             if let Some(j) = &journal {
-                let _ = lock(j).record(i, "quarantined", None, attempt + 1);
+                let _ = lock_slot(j).record(i, "quarantined", None, attempt + 1);
             }
             rec.outcome = if last_was_timeout {
                 TaskOutcome::TimedOut {
@@ -795,7 +734,7 @@ where
             };
             break;
         }
-        *lock(&records[i]) = Some(rec);
+        *lock_slot(&records[i]) = Some(rec);
     };
 
     if cfg.jobs <= 1 || n <= 1 {
@@ -824,7 +763,7 @@ where
     let mut outcomes = Vec::with_capacity(n);
     let mut digests = Vec::with_capacity(n);
     for (i, slot) in records.into_iter().enumerate() {
-        let rec = lock(&slot)
+        let rec = lock_slot(&slot)
             .take()
             .unwrap_or_else(|| panic!("fleet slot {i} was never filled"));
         match &rec.outcome {

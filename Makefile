@@ -3,12 +3,13 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt fmt-fix clippy bench-smoke fault-matrix \
-	fleet-determinism memo-parity bench-json bench-gate soak lint-study \
-	dataloss-study daemon-soak chaos-soak
+.PHONY: ci build test perfbench-test fmt fmt-fix clippy bench-smoke \
+	fault-matrix fleet-determinism memo-parity bench-json bench-gate soak \
+	lint-study dataloss-study daemon-soak chaos-soak
 
-ci: build test fmt clippy fault-matrix fleet-determinism memo-parity \
-	bench-smoke lint-study dataloss-study soak daemon-soak chaos-soak
+ci: build test perfbench-test fmt clippy fault-matrix fleet-determinism \
+	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
+	chaos-soak
 
 # Seeds for the fault-injection suite. Debug builds keep the
 # batched-vs-eager equivalence checker armed, so each seed also
@@ -20,6 +21,12 @@ build:
 
 test:
 	$(CARGO) test -q
+
+# The host-time benchmark (perfbench/) is a workspace of its own, so
+# `cargo test` at the root does not reach its tests. They pin its copy
+# of the study body and its traced `run_app` to the committed digests.
+perfbench-test:
+	$(CARGO) test --offline --manifest-path perfbench/Cargo.toml
 
 fmt:
 	$(CARGO) fmt --all --check

@@ -83,7 +83,10 @@ impl RunOutcome {
 /// Runs one app spec through the scenario on a fresh device.
 pub fn run_app(spec: &GenericAppSpec, cfg: &RunConfig) -> RunOutcome {
     let mut device = Device::new(cfg.mode);
-    let probe = spec.build(); // state helpers (stateless twin of the installed model)
+    // State helpers: a second build of the spec, sharing the installed
+    // copy's resource table (see `GenericAppSpec::build`) but with its
+    // own persistent store, which the scenario's state items never use.
+    let probe = spec.build();
     let component = device
         .install_and_launch(
             Box::new(spec.build()),

@@ -4,9 +4,10 @@ use crate::dataloss::{DataLossScenario, FieldOwner, FieldPersistence};
 use droidsim_app::{Activity, AppModel, AsyncResult, AsyncSpec, FragmentSpec};
 use droidsim_bundle::Bundle;
 use droidsim_config::ConfigChanges;
-use droidsim_kernel::{SimDuration, SplitMix64, Xoshiro256};
+use droidsim_kernel::{memo, SimDuration, SplitMix64, Xoshiro256};
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{ViewKind, ViewOp};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -202,9 +203,34 @@ impl GenericAppSpec {
             .all(|i| i.mechanism.fixed_by_rchdroid())
     }
 
-    /// Builds the runnable black-box app.
+    /// Builds the runnable black-box app, with a fresh persistent store.
+    ///
+    /// The immutable part — spec, component name and resource table —
+    /// is shared with the previous build on this thread when that build
+    /// had an identical spec, as a device parses an app's resources once
+    /// per process, not once per activity. A study row builds the same
+    /// spec eight times back to back, so a one-entry slot hits seven of
+    /// them. The memo kill switch bypasses the slot.
     pub fn build(&self) -> GenericApp {
-        GenericApp::new(self.clone())
+        if !memo::enabled() {
+            return GenericApp::new(self.clone());
+        }
+        let core = LAST_BUILT.with(|slot| {
+            // A stale entry is dropped inside `filter`, before the new
+            // table is built, so the slot never keeps an old table alive
+            // while a new one is being built (that cost lint peak RSS).
+            let hit = slot.take().filter(|core| core.spec.identical(self));
+            let core = hit.unwrap_or_else(|| Arc::new(AppCore::new(self.clone())));
+            slot.replace(Some(Arc::clone(&core)));
+            core
+        });
+        GenericApp::with_core(core)
+    }
+
+    /// `==` with `complexity` compared by bits, so `-0.0` and `0.0`
+    /// (which `==` equates) never share a built app.
+    fn identical(&self, other: &GenericAppSpec) -> bool {
+        self == other && self.complexity.to_bits() == other.complexity.to_bits()
     }
 
     /// The async task the scenario starts (targets a dedicated framework
@@ -252,24 +278,26 @@ pub(crate) fn hash_name(name: &str) -> u64 {
     })
 }
 
-/// The runnable generic app.
+thread_local! {
+    /// The core of the last app built on this thread (see
+    /// [`GenericAppSpec::build`]).
+    static LAST_BUILT: RefCell<Option<Arc<AppCore>>> = const { RefCell::new(None) };
+}
+
+/// Everything [`GenericApp::new`] derives from the spec. Immutable once
+/// built, so any number of apps can share one behind an `Arc`.
 #[derive(Debug)]
-pub struct GenericApp {
+struct AppCore {
     spec: GenericAppSpec,
     component: String,
     resources: ResourceTable,
-    /// The app's persistent store ("disk"): written through at
-    /// interaction time by store-persisted data-loss fields, re-read in
-    /// `on_create`. Outlives any activity instance — and, unlike the
-    /// instance bundle, even a reclaimed process record. Shared with
-    /// probe copies via [`GenericApp::shared_probe`].
-    store: Arc<Mutex<HashMap<String, String>>>,
 }
 
-impl GenericApp {
-    /// Builds the app (layouts for both orientations; image views sized so
-    /// one activity's heap hits the spec target).
-    pub fn new(spec: GenericAppSpec) -> Self {
+impl AppCore {
+    /// Derives the component name and the resource table (layouts for
+    /// both orientations; image views sized so one activity's heap hits
+    /// the spec target).
+    fn new(spec: GenericAppSpec) -> Self {
         let component = format!(
             "com.{}/.Main",
             spec.name
@@ -360,10 +388,37 @@ impl GenericApp {
             ResourceValue::drawable("asset.png", per_image),
         );
 
-        GenericApp {
+        AppCore {
             spec,
             component,
             resources,
+        }
+    }
+}
+
+/// The runnable generic app.
+#[derive(Debug)]
+pub struct GenericApp {
+    core: Arc<AppCore>,
+    /// The app's persistent store ("disk"): written through at
+    /// interaction time by store-persisted data-loss fields, re-read in
+    /// `on_create`. Outlives any activity instance — and, unlike the
+    /// instance bundle, even a reclaimed process record. Shared with
+    /// probe copies via [`GenericApp::shared_probe`].
+    store: Arc<Mutex<HashMap<String, String>>>,
+}
+
+impl GenericApp {
+    /// Builds the app from scratch, sharing nothing with other builds
+    /// (see [`GenericAppSpec::build`] for the shared path).
+    pub fn new(spec: GenericAppSpec) -> Self {
+        GenericApp::with_core(Arc::new(AppCore::new(spec)))
+    }
+
+    /// An app over `core` with a fresh, empty persistent store.
+    fn with_core(core: Arc<AppCore>) -> Self {
+        GenericApp {
+            core,
             store: Arc::new(Mutex::new(HashMap::new())),
         }
     }
@@ -371,25 +426,24 @@ impl GenericApp {
     /// A probe copy sharing this app's persistent store, for oracles
     /// that install one copy into a device and apply/inspect state
     /// through another: store writes made through either copy are seen
-    /// by both, like two handles on the same disk.
+    /// by both, like two handles on the same disk. Both `Arc` clones:
+    /// the copy shares the resource table too.
     pub fn shared_probe(&self) -> GenericApp {
         GenericApp {
-            spec: self.spec.clone(),
-            component: self.component.clone(),
-            resources: self.resources.clone(),
+            core: Arc::clone(&self.core),
             store: Arc::clone(&self.store),
         }
     }
 
     /// The descriptor this app was built from.
     pub fn spec(&self) -> &GenericAppSpec {
-        &self.spec
+        &self.core.spec
     }
 
     /// Applies the test scenario's user interaction: fills every state
     /// item with its test value.
     pub fn apply_user_state(&self, activity: &mut Activity) {
-        for item in &self.spec.state_items {
+        for item in &self.core.spec.state_items {
             if item.mechanism.is_view_held() {
                 if let Some(view) = activity.tree.find_by_id_name(&item.key) {
                     let _ = activity
@@ -407,7 +461,8 @@ impl GenericApp {
 
     /// Checks which state items still hold their test value.
     pub fn surviving_state(&self, activity: &Activity) -> Vec<(&StateItem, bool)> {
-        self.spec
+        self.core
+            .spec
             .state_items
             .iter()
             .map(|item| {
@@ -491,7 +546,7 @@ impl GenericApp {
     /// persistent store. Async-owned fields are *not* set here — their
     /// value arrives via [`GenericAppSpec::dataloss_async_task`].
     pub fn apply_dataloss_state(&self, activity: &mut Activity) {
-        let Some(dl) = &self.spec.dataloss else {
+        let Some(dl) = &self.core.spec.dataloss else {
             return;
         };
         let mut store = self.store.lock().unwrap();
@@ -522,7 +577,7 @@ impl GenericApp {
     /// Checks which data-loss fields still hold their expected value on
     /// the given instance.
     pub fn dataloss_surviving(&self, activity: &Activity) -> Vec<(&crate::DataLossField, bool)> {
-        let Some(dl) = &self.spec.dataloss else {
+        let Some(dl) = &self.core.spec.dataloss else {
             return Vec::new();
         };
         dl.fields
@@ -546,11 +601,11 @@ impl GenericApp {
 
 impl AppModel for GenericApp {
     fn component_name(&self) -> &str {
-        &self.component
+        &self.core.component
     }
 
     fn resources(&self) -> &ResourceTable {
-        &self.resources
+        &self.core.resources
     }
 
     fn main_layout(&self) -> &str {
@@ -558,7 +613,7 @@ impl AppModel for GenericApp {
     }
 
     fn handled_changes(&self) -> ConfigChanges {
-        if self.spec.handles_changes {
+        if self.core.spec.handles_changes {
             ConfigChanges::ALL
         } else {
             ConfigChanges::NONE
@@ -566,12 +621,12 @@ impl AppModel for GenericApp {
     }
 
     fn implements_save_instance_state(&self) -> bool {
-        self.spec.saves_instance_state
+        self.core.spec.saves_instance_state
     }
 
     fn on_create(&self, activity: &mut Activity) {
         // Custom views do not participate in hierarchy save/restore.
-        for item in &self.spec.state_items {
+        for item in &self.core.spec.state_items {
             match item.mechanism {
                 StateMechanism::CustomViewNoSave => {
                     if let Some(view) = activity.tree.find_by_id_name(&item.key) {
@@ -605,7 +660,7 @@ impl AppModel for GenericApp {
         // Data-loss mechanics: attach fragments, mark non-saving views,
         // and replay the persistent store into members, fragment views
         // and re-shown dialogs.
-        if let Some(dl) = &self.spec.dataloss {
+        if let Some(dl) = &self.core.spec.dataloss {
             let store = self.store.lock().unwrap();
             for f in &dl.fields {
                 match f.owner {
@@ -615,7 +670,7 @@ impl AppModel for GenericApp {
                             &format!("fragment_{}", f.key),
                             &format!("frag_{}", f.key),
                         );
-                        let _ = activity.attach_fragment(&self.resources, &fragment);
+                        let _ = activity.attach_fragment(&self.core.resources, &fragment);
                         // Only a bundle-saved fragment field participates
                         // in hierarchy save/restore.
                         if f.persistence != FieldPersistence::BundleSaved {
@@ -669,14 +724,14 @@ impl AppModel for GenericApp {
 
     fn on_save_instance_state(&self, activity: &Activity, out: &mut Bundle) {
         // The app saves only the fields it knows to save.
-        for item in &self.spec.state_items {
+        for item in &self.core.spec.state_items {
             if item.mechanism == StateMechanism::MemberSaved {
                 if let Some(v) = activity.member_state.string(&item.key) {
                     out.put_string(&item.key, v);
                 }
             }
         }
-        if let Some(dl) = &self.spec.dataloss {
+        if let Some(dl) = &self.core.spec.dataloss {
             for f in &dl.fields {
                 if f.persistence != FieldPersistence::BundleSaved {
                     continue;
@@ -711,7 +766,7 @@ impl AppModel for GenericApp {
         // Default behaviour first: members come back from the bundle.
         activity.member_state.merge(saved.clone());
         // Then re-show bundle-saved dialogs from their parceled values.
-        if let Some(dl) = &self.spec.dataloss {
+        if let Some(dl) = &self.core.spec.dataloss {
             for f in &dl.fields {
                 if f.owner == FieldOwner::Dialog && f.persistence == FieldPersistence::BundleSaved {
                     if let Some(v) = saved.string(&Self::dialog_key(&f.key)).map(str::to_owned) {
@@ -883,6 +938,95 @@ mod tests {
             (heap - target).abs() / target < 0.05,
             "heap {heap} vs target {target}"
         );
+    }
+
+    /// A spec with one store-persisted member field.
+    fn store_persisted_spec() -> GenericAppSpec {
+        let mut spec = GenericAppSpec::sized("StoreApp", "1K+", false);
+        spec.dataloss = Some(DataLossScenario::new(
+            crate::DataLossClass::ProcessDeath,
+            vec![crate::DataLossField::new(
+                "alpha_field",
+                FieldOwner::Member,
+                FieldPersistence::StorePersisted,
+            )],
+        ));
+        spec
+    }
+
+    #[test]
+    fn builds_share_the_table_but_not_the_store() {
+        let spec = store_persisted_spec();
+        let a = spec.build();
+        let b = spec.build();
+        assert!(std::ptr::eq(a.resources(), b.resources()), "one table");
+
+        let mut first = launched(&a);
+        a.apply_dataloss_state(&mut first);
+        let relaunched = |app: &GenericApp| {
+            launched(app)
+                .member_state
+                .string("alpha_field")
+                .map(str::to_owned)
+        };
+        assert_eq!(relaunched(&a).as_deref(), Some("typed-alpha_field"));
+        assert_eq!(relaunched(&b), None, "b has its own store");
+        let probe = a.shared_probe();
+        assert!(std::ptr::eq(a.resources(), probe.resources()));
+        assert_eq!(
+            relaunched(&probe).as_deref(),
+            Some("typed-alpha_field"),
+            "the probe shares a's store"
+        );
+    }
+
+    #[test]
+    fn mutating_the_spec_between_builds_never_hits_stale() {
+        let mut spec = spec_with(StateMechanism::CustomViewNoSave);
+        let mutations: [fn(&mut GenericAppSpec); 3] = [
+            |s| s.view_count += 1,
+            |s| {
+                s.state_items
+                    .push(StateItem::new("pushed", StateMechanism::FrameworkView, "v"));
+            },
+            |s| {
+                s.dataloss = Some(DataLossScenario::new(
+                    crate::DataLossClass::SubStateOwner,
+                    vec![crate::DataLossField::new(
+                        "beta_field",
+                        FieldOwner::Fragment,
+                        FieldPersistence::Transient,
+                    )],
+                ));
+            },
+        ];
+        for mutate in mutations {
+            let before = spec.build();
+            mutate(&mut spec);
+            let after = spec.build();
+            let cold = GenericApp::new(spec.clone());
+            assert_ne!(
+                after.resources().fingerprint(),
+                before.resources().fingerprint(),
+                "the mutation changes the table"
+            );
+            assert_eq!(
+                after.resources().fingerprint(),
+                cold.resources().fingerprint()
+            );
+            assert_eq!(after.spec(), &spec);
+        }
+    }
+
+    #[test]
+    fn negative_zero_complexity_does_not_reuse_the_slot() {
+        let mut spec = spec_with(StateMechanism::FrameworkView);
+        spec.complexity = 0.0;
+        let positive = spec.build();
+        spec.complexity = -0.0;
+        let negative = spec.build();
+        assert!(!std::ptr::eq(positive.resources(), negative.resources()));
+        assert_eq!(negative.spec().complexity.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

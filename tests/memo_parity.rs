@@ -1,5 +1,6 @@
 //! The memo ≡ cold contract: the warm-path caches (`kernel::memo` —
-//! resolved resource views, inflated templates, mapping plans) are pure
+//! resolved resource views, inflated templates, mapping plans, and the
+//! built-app slot behind `GenericAppSpec::build`) are pure
 //! memoization. Disabling them with the kill switch, evicting them
 //! under pressure, or invalidating them mid-workload must never change
 //! a single observable digest — at any worker count, with faults
@@ -10,13 +11,13 @@
 //! state on exit (panic included) via [`MemoGuard`].
 
 use droidsim_analysis::{AppAnalysis, Suppressions};
-use droidsim_app::SimpleApp;
+use droidsim_app::{AppModel, SimpleApp};
 use droidsim_device::{Device, HandlingMode};
 use droidsim_faults::FaultPlan;
 use droidsim_fleet::{run_fleet, Digest, FleetConfig, TaskCtx};
 use droidsim_kernel::{memo, SimDuration};
 use proptest::prelude::*;
-use rch_experiments::{run_app, RunConfig, RunOutcome};
+use rch_experiments::{run_app, table5, RunConfig, RunOutcome};
 use rch_workloads::{GenericAppSpec, StateItem, StateMechanism};
 use std::sync::Mutex;
 
@@ -257,5 +258,39 @@ fn eviction_and_invalidation_under_pressure_never_change_results() {
             cold,
             "round {round}: warm run diverged after reclaim/invalidate"
         );
+    }
+}
+
+/// The committed `table5` study digest (as printed by the `table5` bin).
+const TABLE5_DIGEST: u64 = 0x3ef7_87a8_9d6a_daea;
+
+#[test]
+fn built_app_slot_is_bypassed_with_the_caches_off() {
+    let _serial = FLAG_LOCK.lock().unwrap();
+    let spec = GenericAppSpec::sized("SlotApp", "1M+", true);
+    {
+        let _off = MemoGuard::set(false);
+        let (a, b) = (spec.build(), spec.build());
+        assert!(!std::ptr::eq(a.resources(), b.resources()));
+    }
+    let _on = MemoGuard::set(true);
+    let (a, b) = (spec.build(), spec.build());
+    assert!(std::ptr::eq(a.resources(), b.resources()));
+}
+
+#[test]
+fn table5_gives_the_committed_digest_with_and_without_the_caches() {
+    let _serial = FLAG_LOCK.lock().unwrap();
+    for on in [false, true] {
+        let _guard = MemoGuard::set(on);
+        for jobs in [1usize, 2] {
+            let study = table5::run_with_config(&FleetConfig::new(jobs, 0));
+            assert_eq!(
+                study.digest(),
+                TABLE5_DIGEST,
+                "memo {on}, jobs={jobs}: {:016x}",
+                study.digest()
+            );
+        }
     }
 }

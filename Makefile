@@ -3,11 +3,11 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test perfbench-test fmt fmt-fix clippy bench-smoke \
+.PHONY: ci build test perfbench-test fmt fmt-fix clippy doc bench-smoke \
 	fault-matrix fleet-determinism memo-parity bench-json bench-gate soak \
 	lint-study dataloss-study daemon-soak chaos-soak
 
-ci: build test perfbench-test fmt clippy fault-matrix fleet-determinism \
+ci: build test perfbench-test fmt clippy doc fault-matrix fleet-determinism \
 	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
 	chaos-soak
 
@@ -36,6 +36,11 @@ fmt-fix:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# The rustdoc gate: a doc link to a renamed, deleted or private item
+# fails here instead of dangling silently.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
 fault-matrix:
 	for seed in $(FAULT_SEEDS); do \

@@ -42,7 +42,7 @@
 //!
 //! Data-loss corpus apps carry a [`DataLossScenario`] instead of state
 //! items; [`predict`] dispatches to the per-field save/restore
-//! reachability rules (documented at [`predict_dataloss`] and in
+//! reachability rules (documented at `predict_dataloss` and in
 //! DESIGN.md §15).
 
 use droidsim_fleet::Digest;

@@ -12,8 +12,7 @@ use droidsim_analysis::{analyze_specs, Suppressions};
 use droidsim_config::{Configuration, Orientation, UiMode};
 use droidsim_device::HandlingMode;
 use droidsim_fleet::{
-    combine_ordered, run_fleet, run_fleet_reduce, run_fleet_supervised, Digest, FleetConfig,
-    FleetOptions, TaskCtx,
+    combine_ordered, run_fleet, run_fleet_supervised, Digest, FleetConfig, FleetOptions, TaskCtx,
 };
 use droidsim_kernel::memo;
 use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
@@ -40,26 +39,18 @@ fn app_digest(_ctx: TaskCtx, spec: &GenericAppSpec) -> u64 {
     d.finish()
 }
 
-/// Simulates the sample under both handling modes through the streaming
-/// reducer: per-chunk local folds, one atomic merge per chunk, no
-/// ordered result draining. This is the hot arm the scaling criterion
-/// (jobs=8 ≤ 0.5× jobs=1) is judged on.
+/// Simulates the sample under both handling modes and folds the
+/// per-app digests in item order. This is the hot arm the scaling
+/// criterion (jobs=8 ≤ 0.5× jobs=1) is judged on.
 fn simulate(cfg: &FleetConfig, sample: &[GenericAppSpec]) -> u64 {
-    run_fleet_reduce(cfg, sample, app_digest)
+    combine_ordered(run_fleet(cfg, sample.iter().collect(), app_digest))
 }
 
-/// The legacy collect-then-fold reduction, kept as the oracle the
-/// streaming arm must agree with at every worker count.
-fn simulate_ordered(cfg: &FleetConfig, sample: &[GenericAppSpec]) -> u64 {
-    combine_ordered(run_fleet(cfg, sample.to_vec(), |ctx, spec| {
-        app_digest(ctx, &spec)
-    }))
-}
-
-/// The same sample through the supervised runner at zero fault rate:
-/// what the crash-safety envelope (catch_unwind per attempt, outcome
-/// slots, ledger fold) costs when nothing goes wrong. No journal — disk
-/// fsync is a deliberate per-checkpoint cost, not runner overhead.
+/// The same sample through `run_fleet_supervised` at zero fault rate:
+/// what the supervised entry point (an item clone per attempt, outcomes
+/// and digests handed back) adds to plain `run_fleet`, which runs the
+/// same driver. No journal — disk fsync is a deliberate per-checkpoint
+/// cost, not runner overhead.
 fn simulate_supervised(cfg: &FleetConfig, opts: &FleetOptions, sample: &[GenericAppSpec]) -> u64 {
     run_fleet_supervised(
         cfg,
@@ -222,11 +213,11 @@ fn memo_device(index: usize, template: &LayoutTemplate, table: &ResourceTable) -
 /// so once the touch-counted admission warms up, the steady state is
 /// all cache hits.
 fn memo_fleet_jobs(jobs: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    run_fleet_reduce(
+    combine_ordered(run_fleet(
         &FleetConfig::new(jobs, 0),
-        &(0..MEMO_DEVICES).collect::<Vec<_>>(),
-        |_ctx, &i| memo_device(i, template, table),
-    )
+        (0..MEMO_DEVICES).collect(),
+        |_ctx, i| memo_device(i, template, table),
+    ))
 }
 
 fn memo_fleet(template: &LayoutTemplate, table: &ResourceTable) -> u64 {
@@ -245,11 +236,11 @@ fn memo_fleet_unique(nonce: &AtomicU64, table: &ResourceTable) -> u64 {
     let templates: Vec<LayoutTemplate> = (0..MEMO_DEVICES)
         .map(|_| memo_template(nonce.fetch_add(1, Ordering::Relaxed)))
         .collect();
-    run_fleet_reduce(
+    combine_ordered(run_fleet(
         &FleetConfig::new(MEMO_JOBS, 0),
-        &(0..MEMO_DEVICES).collect::<Vec<_>>(),
-        |_ctx, &i| memo_device(i, &templates[i], table),
-    )
+        (0..MEMO_DEVICES).collect(),
+        |_ctx, i| memo_device(i, &templates[i], table),
+    ))
 }
 
 /// The warm-path cache arms: `memo/warm` vs `memo/cold` is the ≥1.5×
@@ -331,23 +322,15 @@ fn bench_rchlint(c: &mut Criterion) {
 fn bench(c: &mut Criterion) {
     let sample = top100_sample(APPS);
     let serial = simulate(&FleetConfig::new(1, 0), &sample);
-    let serial_ordered = simulate_ordered(&FleetConfig::new(1, 0), &sample);
     let opts = FleetOptions::new();
     let mut group = c.benchmark_group("fleet_parallel");
     for jobs in [1usize, 2, 4, 8] {
         // Digest identity is the contract: any worker count must
-        // reproduce the serial reduction bit for bit — on both the
-        // streaming (unordered, index-tagged) and the legacy ordered
-        // path.
+        // reproduce the serial reduction bit for bit.
         assert_eq!(
             simulate(&FleetConfig::new(jobs, 0), &sample),
             serial,
-            "jobs={jobs} diverged from the serial streaming digest"
-        );
-        assert_eq!(
-            simulate_ordered(&FleetConfig::new(jobs, 0), &sample),
-            serial_ordered,
-            "jobs={jobs} diverged from the serial ordered digest"
+            "jobs={jobs} diverged from the serial digest"
         );
         group.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
             let cfg = FleetConfig::new(jobs, 0);
@@ -364,7 +347,7 @@ fn bench(c: &mut Criterion) {
         if jobs == 1 || jobs == 4 {
             assert_eq!(
                 simulate_supervised(&FleetConfig::new(jobs, 0), &opts, &sample),
-                serial_ordered,
+                serial,
                 "the supervised runner diverged from the plain digest at jobs={jobs}"
             );
             group.bench_with_input(

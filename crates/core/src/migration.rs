@@ -13,7 +13,7 @@
 //! * **eager** ([`FlushPolicy::Eager`], the default): every drained
 //!   invalidation migrates immediately — the paper's behaviour,
 //! * **batched** ([`FlushPolicy::Batched`]): drained invalidations land
-//!   in a coalescing [`DirtyQueue`](crate::batch::DirtyQueue) and migrate
+//!   in a coalescing [`DirtyQueue`] and migrate
 //!   as one batch when a count or deadline trigger fires; peers resolve
 //!   through the engine's [`ShardedEssenceMap`]. Because the essence copy
 //!   reads the *current* shadow attributes, flushing once after N

@@ -18,7 +18,7 @@
 //!    process crashed; they are *reported*, never unwound through the
 //!    simulator.
 //!
-//! Every rung is recorded in a [`FaultLog`] so tests and benches can
+//! Every rung is recorded in a `FaultLog` so tests and benches can
 //! assert which rung absorbed which fault.
 
 use core::fmt;

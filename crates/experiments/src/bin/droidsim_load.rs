@@ -31,7 +31,7 @@
 //! way.
 //!
 //! The client fan-out claims job indices through the same
-//! `run_claiming_pool` skeleton the fleet drivers use. With
+//! `run_claiming_pool` skeleton the fleet driver uses. With
 //! `--mixed-priorities` submissions cycle low/normal/high, which under
 //! a full queue exercises displacement (`shed` is then an accepted
 //! outcome); the default uniform-normal load tolerates no shedding.
@@ -276,7 +276,7 @@ fn main() {
     );
 
     // Submit burst: client threads claim index chunks through the same
-    // pool skeleton the fleet drivers use. The submit instant per index
+    // pool skeleton the fleet driver uses. The submit instant per index
     // anchors the submit-to-done latency the summary reports.
     let slots: Vec<Mutex<Option<Slot>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let submitted_at: Vec<Mutex<Option<Instant>>> = (0..total).map(|_| Mutex::new(None)).collect();

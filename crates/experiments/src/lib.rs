@@ -60,7 +60,8 @@ use std::time::Duration;
 /// * `--journal PATH` — checkpoint each completed task to PATH (implies
 ///   `--keep-going`);
 /// * `--resume PATH` — skip tasks PATH already records, appending new
-///   completions to it (implies `--keep-going`);
+///   completions to it, or to the `--journal` file when one is given
+///   (implies `--keep-going`);
 /// * `--no-memo` — disable the warm-path memo caches (`kernel::memo`)
 ///   for this process: every resolution, inflation, and mapping build
 ///   takes the cold path. The correctness kill switch behind the
@@ -181,7 +182,7 @@ impl FleetCli {
                 }
                 "--resume" => {
                     let v = value("--resume", inline, &mut args)?;
-                    cli.options = cli.options.clone().resuming(v);
+                    cli.options.resume = Some(v.into());
                     cli.supervised = true;
                 }
                 "--no-memo" => cli.no_memo = true,
@@ -194,6 +195,11 @@ impl FleetCli {
                     None => flag,
                 }),
             }
+        }
+        // Whichever order the flags came in, `--journal` names where new
+        // completions go; without it `--resume` extends its own file.
+        if cli.options.journal.is_none() {
+            cli.options.journal.clone_from(&cli.options.resume);
         }
         Ok(cli)
     }
@@ -285,6 +291,25 @@ mod cli_tests {
         assert_eq!(cli.options.resume.as_deref(), Some("j.log".as_ref()));
         assert_eq!(cli.options.journal.as_deref(), Some("j.log".as_ref()));
         assert_eq!(cli.jobs, Some(2));
+
+        // An explicit `--journal` wins over the resume file in either
+        // order: resume reads one file and appends to the other.
+        for args in [
+            ["--journal", "a.log", "--resume", "b.log"],
+            ["--resume", "b.log", "--journal", "a.log"],
+        ] {
+            let cli = parse(&args).unwrap();
+            assert_eq!(
+                cli.options.resume.as_deref(),
+                Some("b.log".as_ref()),
+                "{args:?}"
+            );
+            assert_eq!(
+                cli.options.journal.as_deref(),
+                Some("a.log".as_ref()),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

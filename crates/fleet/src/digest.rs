@@ -91,60 +91,6 @@ pub fn combine_ordered<I: IntoIterator<Item = u64>>(digests: I) -> u64 {
     d.finish()
 }
 
-/// Tags one per-task digest with its task index: an FNV pass over
-/// `(index, digest)` followed by an avalanche finalizer. The tag is what
-/// keeps the **unordered** merge position-sensitive — swapping two
-/// device digests changes both tagged values, so [`combine_indexed`]
-/// still notices, even though its fold is commutative.
-///
-/// The finalizer matters: a raw FNV tag ends in a multiply, which
-/// distributes over the wrapping-add fold, so for low-entropy digests a
-/// swap across indices could cancel out of the sum exactly. The
-/// xor-shift-multiply cascade (SplitMix64's output stage) destroys that
-/// affine structure.
-pub fn mix_indexed(index: u64, digest: u64) -> u64 {
-    let mut d = Digest::new();
-    d.write_u64(index);
-    d.write_u64(digest);
-    let mut h = d.finish();
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    h
-}
-
-/// Reduces `(index, digest)` pairs into one fleet digest **in any
-/// order**: each pair is tagged by [`mix_indexed`] and the tagged values
-/// are folded with wrapping addition, which is commutative and
-/// associative. Workers can therefore merge results as they complete —
-/// no ordered result draining, no per-slot buffering — and the value is
-/// identical for any completion order and any worker count, including
-/// the `jobs = 1` inline run.
-///
-/// The value differs from [`combine_ordered`] (different fold); compare
-/// like with like.
-///
-/// # Examples
-///
-/// ```
-/// use droidsim_fleet::combine_indexed;
-///
-/// let forward = combine_indexed([(0, 7u64), (1, 11), (2, 13)]);
-/// let shuffled = combine_indexed([(2, 13u64), (0, 7), (1, 11)]);
-/// assert_eq!(forward, shuffled, "completion order is irrelevant");
-///
-/// let swapped = combine_indexed([(0, 11u64), (1, 7), (2, 13)]);
-/// assert_ne!(forward, swapped, "index tags keep positions covered");
-/// ```
-pub fn combine_indexed<I: IntoIterator<Item = (u64, u64)>>(pairs: I) -> u64 {
-    pairs
-        .into_iter()
-        .map(|(i, d)| mix_indexed(i, d))
-        .fold(0u64, u64::wrapping_add)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,24 +115,6 @@ mod tests {
     fn combine_is_position_sensitive() {
         assert_ne!(combine_ordered([1, 2]), combine_ordered([2, 1]));
         assert_eq!(combine_ordered([1, 2, 3]), combine_ordered([1, 2, 3]));
-    }
-
-    #[test]
-    fn indexed_combine_is_order_free_but_position_sensitive() {
-        let pairs = [(0u64, 101u64), (1, 202), (2, 303), (3, 404)];
-        let mut rev = pairs;
-        rev.reverse();
-        assert_eq!(combine_indexed(pairs), combine_indexed(rev));
-        // Swapping two digests across indices is visible.
-        assert_ne!(
-            combine_indexed([(0u64, 202u64), (1, 101), (2, 303), (3, 404)]),
-            combine_indexed(pairs)
-        );
-        // And so is a missing task.
-        assert_ne!(
-            combine_indexed(pairs[..3].iter().copied()),
-            combine_indexed(pairs)
-        );
     }
 
     #[test]

@@ -22,15 +22,17 @@
 //!   writes during the run.
 //!
 //! The worker count comes from `--jobs` / the `DROIDSIM_JOBS` environment
-//! variable, defaulting to the machine's available parallelism; `1`
-//! selects the legacy inline path (no threads are spawned at all). A
+//! variable, defaulting to the machine's available parallelism; with `1`
+//! every task runs on the caller thread and no thread is spawned. A
 //! zero or non-numeric worker count is rejected with an error naming
 //! the offending source — never silently replaced.
 //!
-//! For long campaigns, [`run_fleet_supervised`] layers crash safety on
-//! the same driver: per-task panic isolation, deterministic bounded
-//! retries, a wall-clock stall watchdog, and an append-only
-//! checkpoint journal with resume — see the [`supervise`] module.
+//! There is one driver, in the [`supervise`] module. [`run_fleet`] is
+//! its default case and returns the results in item order;
+//! [`run_fleet_supervised`] turns on crash safety for long campaigns:
+//! per-task outcomes instead of one re-raised panic, deterministic
+//! bounded retries, a wall-clock stall watchdog, and an append-only
+//! checkpoint journal with resume.
 //!
 //! # Examples
 //!
@@ -54,14 +56,13 @@
 pub mod digest;
 pub mod supervise;
 
-pub use digest::{combine_indexed, combine_ordered, mix_indexed, Digest};
+pub use digest::{combine_ordered, Digest};
 pub use supervise::{
     run_fleet_supervised, FleetError, FleetJournal, FleetOptions, FleetReport, FleetRun,
     QuarantinedTask, TaskOutcome,
 };
 
 use droidsim_kernel::Xoshiro256;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -191,10 +192,6 @@ pub struct TaskCtx {
 }
 
 impl TaskCtx {
-    fn new(cfg: &FleetConfig, index: usize) -> TaskCtx {
-        TaskCtx::stream(cfg.seed, index)
-    }
-
     /// The context task `index` gets under root `seed` — identical on
     /// every attempt, worker, and worker count. Retries re-derive it so
     /// a retried task reproduces the exact digest of an undisturbed run.
@@ -272,16 +269,15 @@ impl CancelToken {
 }
 
 /// The shared worker-pool skeleton: spawns `min(workers, n)` scoped
-/// threads that claim adaptive index chunks (see [`claim_chunk`]'s
-/// batching policy) from one shared cursor until all `n` indices are
-/// claimed, invoking `chunk` once per claimed range.
+/// threads that claim adaptive index chunks from one shared cursor
+/// until all `n` indices are claimed, invoking `chunk` once per claimed
+/// range. Early claims take `max(1, remaining / (4·workers))` indices
+/// per cursor bump; claims near the tail shrink to single tasks.
 ///
-/// This is the single claiming loop behind [`run_fleet`],
-/// [`run_fleet_reduce`] and the supervised driver — and the primitive
-/// external pools (the `droidsimd` resume pass, the `droidsim-load`
-/// client fan-out) build on instead of re-implementing. With
-/// `workers <= 1` or `n <= 1` the chunks run inline on the caller
-/// thread, preserving the legacy no-thread path.
+/// This is the claiming loop behind the fleet driver, and the primitive
+/// the `droidsim-load` client fan-out builds on instead of
+/// re-implementing it. With `workers <= 1` or `n <= 1` the one chunk
+/// `0..n` runs inline on the caller thread.
 pub fn run_claiming_pool<C>(workers: usize, n: usize, chunk: C)
 where
     C: Fn(std::ops::Range<usize>) + Sync,
@@ -310,12 +306,14 @@ where
 /// and returns the results **in item order** — bit-identical to the
 /// `jobs = 1` inline run as long as `run` depends only on its arguments.
 ///
-/// Work is claimed dynamically (an atomic cursor), so a slow simulation
-/// does not stall the tail of the list behind a static partition.
+/// This is the fleet driver with [`FleetOptions::new`]: no retries, no
+/// watchdog, no journal. Work is claimed dynamically (an atomic
+/// cursor), so a slow simulation does not stall the tail of the list
+/// behind a static partition.
 ///
 /// # Panics
 ///
-/// A panicking task no longer poisons the pool: every task runs behind
+/// A panicking task does not poison the pool: every task runs behind
 /// `catch_unwind`, all remaining tasks complete, and only then does
 /// this function re-raise the failure — with a crash dump naming every
 /// failed task's seed/index repro. Callers who want the partial results
@@ -327,123 +325,47 @@ where
     F: Fn(TaskCtx, T) -> R + Sync,
 {
     let n = items.len();
-    let outcomes: Vec<Result<R, String>> = if cfg.jobs <= 1 || n <= 1 {
-        // Legacy path: no threads, no locks — the old serial loop, with
-        // the same isolation boundary as the pool.
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                catch_unwind(AssertUnwindSafe(|| run(TaskCtx::new(cfg, i), item)))
-                    .map_err(supervise::payload_text)
-            })
-            .collect()
-    } else {
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<Result<R, String>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        run_claiming_pool(cfg.jobs, n, |range| {
-            for i in range {
-                let Some(item) = lock_slot(&slots[i]).take() else {
-                    continue;
-                };
-                let out = catch_unwind(AssertUnwindSafe(|| run(TaskCtx::new(cfg, i), item)))
-                    .map_err(supervise::payload_text);
-                *lock_slot(&results[i]) = Some(out);
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                lock_slot(&slot)
-                    .take()
-                    .unwrap_or_else(|| Err("fleet task produced no result".to_owned()))
-            })
-            .collect()
+    // Without retries each task is attempted once, so its item is moved
+    // out of its slot rather than cloned.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let attempt = |i: usize, fault| {
+        let item = lock_slot(&slots[i])
+            .take()
+            .expect("a task without retries is attempted once");
+        supervise::isolate(fault, || run(TaskCtx::stream(cfg.seed, i), item))
     };
-
-    let mut out = Vec::with_capacity(n);
-    let mut dumps = Vec::new();
-    for (i, o) in outcomes.into_iter().enumerate() {
-        match o {
-            Ok(r) => out.push(r),
-            Err(payload) => dumps.push(format!(
-                "  task {i}: panicked ({payload}); {}",
-                repro(cfg.seed, i)
-            )),
-        }
-    }
-    if !dumps.is_empty() {
+    let fleet = supervise::drive(cfg, &FleetOptions::new(), n, attempt, |_| 0)
+        .expect("a run without a journal opens no file");
+    if !fleet.report.is_clean() {
+        let dumps: Vec<String> = fleet
+            .report
+            .quarantined
+            .iter()
+            .map(|q| {
+                format!(
+                    "  task {}: panicked ({}); {}",
+                    q.index,
+                    q.payload,
+                    repro(cfg.seed, q.index)
+                )
+            })
+            .collect();
         panic!(
             "{} of {n} fleet task(s) panicked ({} completed); \
              use run_fleet_supervised for partial results\n{}",
             dumps.len(),
-            out.len(),
+            fleet.report.ledger.ok,
             dumps.join("\n")
         );
     }
-    out
-}
-
-/// Digest-only fleet run: maps every item to a 64-bit digest and merges
-/// them **unordered** with [`combine_indexed`] as workers finish.
-///
-/// This is the fast path for study harnesses that only need the reduced
-/// fleet digest: there are no per-item `Mutex` slots and no ordered
-/// result draining — each worker folds its chunk's index-tagged digests
-/// locally and publishes one wrapping-add per chunk into a shared
-/// accumulator. Because the tagged fold is commutative, the value is
-/// identical for any worker count and any completion order, including
-/// the `jobs = 1` inline run.
-///
-/// # Panics
-///
-/// Like [`run_fleet`], a panicking task does not poison the pool: all
-/// remaining tasks complete, then the failure is re-raised with a
-/// per-task repro line.
-pub fn run_fleet_reduce<T, F>(cfg: &FleetConfig, items: &[T], run: F) -> u64
-where
-    T: Sync,
-    F: Fn(TaskCtx, &T) -> u64 + Sync,
-{
-    use std::sync::atomic::AtomicU64;
-
-    let n = items.len();
-    let acc = AtomicU64::new(0);
-    let failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let attempt = |i: usize| -> u64 {
-        match catch_unwind(AssertUnwindSafe(|| run(TaskCtx::new(cfg, i), &items[i]))) {
-            Ok(d) => digest::mix_indexed(i as u64, d),
-            Err(payload) => {
-                lock_slot(&failures).push(format!(
-                    "  task {i}: panicked ({}); {}",
-                    supervise::payload_text(payload),
-                    repro(cfg.seed, i)
-                ));
-                0
-            }
-        }
-    };
-    if cfg.jobs <= 1 || n <= 1 {
-        let total = (0..n).map(&attempt).fold(0u64, u64::wrapping_add);
-        acc.store(total, Ordering::Relaxed);
-    } else {
-        run_claiming_pool(cfg.jobs, n, |range| {
-            let chunk = range.map(&attempt).fold(0u64, u64::wrapping_add);
-            // fetch_add on u64 wraps, matching the inline fold.
-            acc.fetch_add(chunk, Ordering::Relaxed);
-        });
-    }
-    let dumps = lock_slot(&failures);
-    if !dumps.is_empty() {
-        panic!(
-            "{} of {n} fleet task(s) panicked; \
-             use run_fleet_supervised for partial results\n{}",
-            dumps.len(),
-            dumps.join("\n")
-        );
-    }
-    acc.load(Ordering::Relaxed)
+    fleet
+        .outcomes
+        .into_iter()
+        .map(|o| match o {
+            TaskOutcome::Ok(r) => r,
+            _ => unreachable!("a clean run with no resume or cancel token has only results"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -540,6 +462,43 @@ mod tests {
         let none: Vec<u32> = run_fleet(&cfg, Vec::<u32>::new(), |_, x| x);
         assert!(none.is_empty());
         assert_eq!(run_fleet(&cfg, vec![5u32], |_, x| x * 2), vec![10]);
+
+        let path = std::env::temp_dir().join(format!(
+            "droidsim-fleet-small-{}.journal",
+            std::process::id()
+        ));
+        for opts in [FleetOptions::new(), FleetOptions::new().with_journal(&path)] {
+            let journaled = opts.journal.is_some();
+            let _ = std::fs::remove_file(&path);
+            let none =
+                run_fleet_supervised(&cfg, &opts, Vec::<u32>::new(), |_, x| x, |r| u64::from(*r))
+                    .unwrap();
+            assert!(none.outcomes.is_empty());
+            assert_eq!(none.combined_digest(), Some(combine_ordered([])));
+            assert_eq!(path.exists(), journaled, "journal={journaled}");
+
+            let _ = std::fs::remove_file(&path);
+            let one =
+                run_fleet_supervised(&cfg, &opts, vec![5u32], |_, x| x * 2, |r| u64::from(*r))
+                    .unwrap();
+            assert_eq!(
+                one.outcomes,
+                vec![TaskOutcome::Ok(10)],
+                "journal={journaled}"
+            );
+            assert_eq!(one.combined_digest(), Some(combine_ordered([10])));
+        }
+        let resumed = run_fleet_supervised(
+            &cfg,
+            &FleetOptions::new().resuming(&path),
+            vec![5u32],
+            |_, _| unreachable!("the journal already records the only task"),
+            |r: &u32| u64::from(*r),
+        )
+        .unwrap();
+        assert_eq!(resumed.report.ledger.skipped, 1);
+        assert_eq!(resumed.combined_digest(), Some(combine_ordered([10])));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

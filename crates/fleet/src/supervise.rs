@@ -1,14 +1,16 @@
-//! Crash-safe supervision for fleet runs: panic isolation, bounded
-//! deterministic retries, a per-task stall watchdog, and an append-only
-//! checkpoint journal for resume.
+//! The fleet driver: panic isolation, bounded deterministic retries, a
+//! per-task stall watchdog, and an append-only checkpoint journal for
+//! resume, all over one claiming loop and one index-order fold.
 //!
-//! The plain [`run_fleet`](crate::run_fleet) contract is all-or-nothing:
-//! every task must return. A night-long randomized campaign cannot
-//! afford that — one organic panic at seed 4711 of 10 000 must not cost
-//! the other 9 999 results. [`run_fleet_supervised`] therefore wraps
-//! every task attempt in `catch_unwind` (the same boundary the
-//! migration supervisor uses around app callbacks) and reports a typed
-//! [`TaskOutcome`] per slot instead of unwinding through the pool:
+//! [`run_fleet`](crate::run_fleet) is this driver with
+//! [`FleetOptions::new`]: no retries, no watchdog, no journal, no
+//! injected faults, and a panic re-raised once every other task has
+//! finished. A night-long randomized campaign cannot afford that
+//! all-or-nothing contract — one organic panic at seed 4711 of 10 000
+//! must not cost the other 9 999 results — so [`run_fleet_supervised`]
+//! returns a typed [`TaskOutcome`] per slot instead. Every task attempt
+//! runs behind `catch_unwind` (the same boundary the migration
+//! supervisor uses around app callbacks):
 //!
 //! * a panicked or timed-out attempt is **requeued** up to
 //!   [`FleetOptions::max_retries`] times, each retry re-deriving the
@@ -133,10 +135,11 @@ impl<R> TaskOutcome<R> {
 pub struct FleetOptions {
     /// Requeues per task after a panicked or timed-out attempt.
     pub max_retries: u32,
-    /// Wall-clock budget per task attempt; `None` disables the watchdog
-    /// (the default, and the only choice on the `--jobs 1` legacy
-    /// inline path of plain `run_fleet`). With a budget, each attempt
-    /// runs on a detached thread so a straggler cannot hang the pool.
+    /// Wall-clock budget per task attempt; `None` (the default, and
+    /// what [`run_fleet`](crate::run_fleet) runs with) disables the
+    /// watchdog and runs every attempt on the worker itself. With a
+    /// budget, each attempt runs on a detached thread so a straggler
+    /// cannot hang the pool.
     pub task_budget: Option<Duration>,
     /// How long an injected stall sleeps; make it comfortably larger
     /// than `task_budget` so injected stalls time out deterministically.
@@ -455,28 +458,14 @@ impl<R> FleetRun<R> {
             .collect::<Option<Vec<u64>>>()
             .map(combine_ordered)
     }
-
-    /// The study digest under the **unordered** index-tagged merge
-    /// ([`combine_indexed`](crate::combine_indexed)): the value a
-    /// streaming reducer that merges digests as tasks complete would
-    /// produce. Deterministic for any worker count; `None` when any
-    /// task is quarantined.
-    pub fn combined_digest_unordered(&self) -> Option<u64> {
-        let tagged: Option<Vec<(u64, u64)>> = self
-            .digests
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d.map(|d| (i as u64, d)))
-            .collect();
-        tagged.map(crate::combine_indexed)
-    }
 }
 
 /// What one injected fleet-task fault does to the attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InjectedKind {
+pub(crate) enum InjectedKind {
     Panic,
-    Stall,
+    /// Sleep this long before running the task.
+    Stall(Duration),
 }
 
 /// The deterministic injection verdict for `(index, attempt)`.
@@ -513,75 +502,39 @@ fn injected_fault(opts: &FleetOptions, index: usize, attempt: u32) -> Option<Inj
     // Stalls need the watchdog to be observable; without a budget the
     // injection degrades to a panic so it cannot hang the run.
     Some(if wants_stall && opts.task_budget.is_some() {
-        InjectedKind::Stall
+        InjectedKind::Stall(opts.stall_for)
     } else {
         InjectedKind::Panic
     })
 }
 
-pub(crate) fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
-enum Attempt<R> {
+/// How one attempt ended.
+pub(crate) enum Attempt<R> {
     Done(R),
     Panicked(String),
     TimedOut,
 }
 
-/// Runs one attempt, isolated. Without a budget the attempt runs inline
-/// behind `catch_unwind`; with one it runs on a detached thread and the
-/// caller waits at most `budget` — a straggler is abandoned, its result
-/// channel dropped.
-fn run_attempt<T, R, F>(
-    run: &Arc<F>,
-    seed: u64,
-    index: usize,
-    item: T,
-    fault: Option<InjectedKind>,
-    budget: Option<Duration>,
-    stall_for: Duration,
-) -> Attempt<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(TaskCtx, T) -> R + Send + Sync + 'static,
-{
-    let body = {
-        let run = Arc::clone(run);
-        move || {
-            if let Some(InjectedKind::Stall) = fault {
-                std::thread::sleep(stall_for);
-            }
-            if let Some(InjectedKind::Panic) = fault {
-                panic!("injected fleet-task fault");
-            }
-            run(TaskCtx::stream(seed, index), item)
+/// Runs one attempt's body behind `catch_unwind`, after the injected
+/// fault (if any) has struck.
+pub(crate) fn isolate<R>(fault: Option<InjectedKind>, body: impl FnOnce() -> R) -> Attempt<R> {
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        match fault {
+            Some(InjectedKind::Stall(d)) => std::thread::sleep(d),
+            Some(InjectedKind::Panic) => panic!("injected fleet-task fault"),
+            None => {}
         }
-    };
-    match budget {
-        None => match catch_unwind(AssertUnwindSafe(body)) {
-            Ok(r) => Attempt::Done(r),
-            Err(p) => Attempt::Panicked(payload_text(p)),
-        },
-        Some(budget) => {
-            let (tx, rx) = mpsc::channel();
-            std::thread::spawn(move || {
-                let out = catch_unwind(AssertUnwindSafe(body)).map_err(payload_text);
-                let _ = tx.send(out);
-            });
-            match rx.recv_timeout(budget) {
-                Ok(Ok(r)) => Attempt::Done(r),
-                Ok(Err(p)) => Attempt::Panicked(p),
-                Err(_) => Attempt::TimedOut,
-            }
-        }
+        body()
+    }));
+    match attempt {
+        Ok(r) => Attempt::Done(r),
+        Err(payload) => Attempt::Panicked(if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "<non-string panic payload>".to_owned()
+        }),
     }
 }
 
@@ -596,30 +549,37 @@ struct TaskRecord<R> {
     latencies_ms: Vec<f64>,
 }
 
-/// Runs `run` over every item like [`run_fleet`](crate::run_fleet), but
-/// crash-safe: the returned [`FleetRun`] has one [`TaskOutcome`] per
-/// item in item order, and a failing task quarantines instead of
-/// aborting the pool. `digest_of` maps a result to the 64-bit digest
-/// recorded in journals and folded into [`FleetRun::combined_digest`].
-///
-/// Determinism: for a given `(cfg.seed, items, opts.faults)` the
-/// outcomes and digests are identical for any worker count, and a task
-/// whose transient fault was retried produces the same digest as in a
-/// fault-free run (the retry re-derives the identical RNG stream).
-pub fn run_fleet_supervised<T, R, F, D>(
+impl<R> TaskRecord<R> {
+    fn new(outcome: TaskOutcome<R>, digest: Option<u64>) -> TaskRecord<R> {
+        TaskRecord {
+            outcome,
+            digest,
+            retries: 0,
+            injected: 0,
+            panicked_attempts: 0,
+            timed_out_attempts: 0,
+            latencies_ms: Vec::new(),
+        }
+    }
+}
+
+/// The driver core behind both [`run_fleet`](crate::run_fleet) and
+/// [`run_fleet_supervised`]: claims the `n` task indices across
+/// `cfg.jobs` workers, runs each task's attempts through `run_attempt`
+/// (given the index and the injected fault, if any) under `opts`, and
+/// folds the per-index slots in index order into a [`FleetRun`].
+pub(crate) fn drive<R, A, D>(
     cfg: &FleetConfig,
     opts: &FleetOptions,
-    items: Vec<T>,
-    run: F,
+    n: usize,
+    run_attempt: A,
     digest_of: D,
 ) -> Result<FleetRun<R>, FleetError>
 where
-    T: Clone + Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(TaskCtx, T) -> R + Send + Sync + 'static,
+    R: Send,
+    A: Fn(usize, Option<InjectedKind>) -> Attempt<R> + Sync,
     D: Fn(&R) -> u64 + Sync,
 {
-    let n = items.len();
     let (journal, mut resumed) = match &opts.journal {
         Some(path) => {
             let (journal, completed) = FleetJournal::open(path, cfg.seed, n)?;
@@ -635,59 +595,26 @@ where
         };
     }
 
-    let run = Arc::new(run);
     let records: Vec<Mutex<Option<TaskRecord<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let allocs_before = droidsim_kernel::alloc_track::current();
 
     let cancelled = || opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-    let worker_body = |i: usize| {
+    let run_task = |i: usize| -> TaskRecord<R> {
         if let Some(&digest) = resumed.get(&i) {
-            *lock_slot(&records[i]) = Some(TaskRecord {
-                outcome: TaskOutcome::Skipped { index: i, digest },
-                digest: Some(digest),
-                retries: 0,
-                injected: 0,
-                panicked_attempts: 0,
-                timed_out_attempts: 0,
-                latencies_ms: Vec::new(),
-            });
-            return;
+            return TaskRecord::new(TaskOutcome::Skipped { index: i, digest }, Some(digest));
         }
-        let mut rec = TaskRecord {
-            outcome: TaskOutcome::Skipped {
-                index: i,
-                digest: 0,
-            }, // placeholder
-            digest: None,
-            retries: 0,
-            injected: 0,
-            panicked_attempts: 0,
-            timed_out_attempts: 0,
-            latencies_ms: Vec::new(),
-        };
-        let mut attempt: u32 = 0;
-        let mut last_panic = String::new();
-        let mut last_was_timeout;
-        loop {
+        // Not journaled when cancelled: a resumed run must re-run it.
+        let mut rec = TaskRecord::new(TaskOutcome::Cancelled { index: i }, None);
+        let mut last_panic = None;
+        for attempt in 0..=opts.max_retries {
+            rec.retries = attempt;
             if cancelled() {
-                // Not journaled: a resumed run must re-run this task.
-                rec.outcome = TaskOutcome::Cancelled { index: i };
-                break;
+                return rec;
             }
             let fault = injected_fault(opts, i, attempt);
-            if fault.is_some() {
-                rec.injected += 1;
-            }
+            rec.injected += u32::from(fault.is_some());
             let started = Instant::now();
-            let result = run_attempt(
-                &run,
-                cfg.seed,
-                i,
-                items[i].clone(),
-                fault,
-                opts.task_budget,
-                opts.stall_for,
-            );
+            let result = run_attempt(i, fault);
             rec.latencies_ms.push(started.elapsed().as_secs_f64() * 1e3);
             match result {
                 Attempt::Done(r) => {
@@ -697,64 +624,48 @@ where
                     }
                     rec.digest = Some(digest);
                     rec.outcome = TaskOutcome::Ok(r);
-                    break;
+                    return rec;
                 }
                 Attempt::Panicked(payload) => {
                     rec.panicked_attempts += 1;
-                    last_panic = payload;
-                    last_was_timeout = false;
+                    last_panic = Some(payload);
                 }
                 Attempt::TimedOut => {
                     rec.timed_out_attempts += 1;
-                    last_was_timeout = true;
+                    last_panic = None;
                 }
             }
-            if attempt < opts.max_retries {
-                attempt += 1;
-                rec.retries += 1;
-                continue;
-            }
-            if let Some(j) = &journal {
-                let _ = lock_slot(j).record(i, "quarantined", None, attempt + 1);
-            }
-            rec.outcome = if last_was_timeout {
-                TaskOutcome::TimedOut {
-                    budget: opts.task_budget.unwrap_or_default(),
-                    seed: cfg.seed,
-                    index: i,
-                    attempts: attempt + 1,
-                }
-            } else {
-                TaskOutcome::Panicked {
-                    payload: last_panic.clone(),
-                    seed: cfg.seed,
-                    index: i,
-                    attempts: attempt + 1,
-                }
-            };
-            break;
         }
-        *lock_slot(&records[i]) = Some(rec);
+        let attempts = opts.max_retries + 1;
+        if let Some(j) = &journal {
+            let _ = lock_slot(j).record(i, "quarantined", None, attempts);
+        }
+        rec.outcome = match last_panic {
+            Some(payload) => TaskOutcome::Panicked {
+                payload,
+                seed: cfg.seed,
+                index: i,
+                attempts,
+            },
+            None => TaskOutcome::TimedOut {
+                budget: opts.task_budget.unwrap_or_default(),
+                seed: cfg.seed,
+                index: i,
+                attempts,
+            },
+        };
+        rec
     };
 
-    if cfg.jobs <= 1 || n <= 1 {
-        for i in 0..n {
-            worker_body(i);
+    crate::run_claiming_pool(cfg.jobs, n, |range| {
+        for i in range {
+            let rec = run_task(i);
+            *lock_slot(&records[i]) = Some(rec);
         }
-    } else {
-        // Chunked claiming: early claims take a batch of indices per
-        // cursor RMW, shrinking to single tasks near the tail — the
-        // shared `run_claiming_pool` skeleton (see `claim_chunk`).
-        crate::run_claiming_pool(cfg.jobs, n, |range| {
-            for i in range {
-                worker_body(i);
-            }
-        });
-    }
+    });
 
-    // Fold the slots in task-index order — the same contract as plain
-    // run_fleet's reducer, so the report is reproducible for any worker
-    // count.
+    // Fold the slots in task-index order, so the report is reproducible
+    // for any worker count.
     let mut ledger = FleetLedger::new();
     // Process-wide delta, not per-task: concurrent runs overlap, so the
     // value is diagnostic only (and excluded from fingerprints).
@@ -800,10 +711,7 @@ where
         for ms in &rec.latencies_ms {
             ledger.attempt_latency_ms.record(*ms);
         }
-        digests.push(rec.digest.or(match &rec.outcome {
-            TaskOutcome::Skipped { digest, .. } => Some(*digest),
-            _ => None,
-        }));
+        digests.push(rec.digest);
         outcomes.push(rec.outcome);
     }
     Ok(FleetRun {
@@ -816,4 +724,49 @@ where
             jobs: cfg.jobs,
         },
     })
+}
+
+/// Runs `run` over every item like [`run_fleet`](crate::run_fleet), but
+/// crash-safe: the returned [`FleetRun`] has one [`TaskOutcome`] per
+/// item in item order, and a failing task quarantines instead of
+/// aborting the pool. `digest_of` maps a result to the 64-bit digest
+/// recorded in journals and folded into [`FleetRun::combined_digest`].
+///
+/// Determinism: for a given `(cfg.seed, items, opts.faults)` the
+/// outcomes and digests are identical for any worker count, and a task
+/// whose transient fault was retried produces the same digest as in a
+/// fault-free run (the retry re-derives the identical RNG stream).
+///
+/// Retries clone the item, hence `T: Clone`. The `'static` bounds let
+/// the watchdog run an attempt on a detached thread and abandon it when
+/// it overruns [`FleetOptions::task_budget`]; a scoped thread would
+/// instead hang the run on a hung task.
+pub fn run_fleet_supervised<T, R, F, D>(
+    cfg: &FleetConfig,
+    opts: &FleetOptions,
+    items: Vec<T>,
+    run: F,
+    digest_of: D,
+) -> Result<FleetRun<R>, FleetError>
+where
+    T: Clone + Send + Sync + 'static,
+    R: Send + 'static,
+    F: Fn(TaskCtx, T) -> R + Send + Sync + 'static,
+    D: Fn(&R) -> u64 + Sync,
+{
+    let run = Arc::new(run);
+    let attempt = |i: usize, fault: Option<InjectedKind>| {
+        let (seed, item) = (cfg.seed, items[i].clone());
+        let Some(budget) = opts.task_budget else {
+            return isolate(fault, || run(TaskCtx::stream(seed, i), item));
+        };
+        let run = Arc::clone(&run);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(isolate(fault, || run(TaskCtx::stream(seed, i), item)));
+        });
+        // A straggler is abandoned: its result channel is dropped.
+        rx.recv_timeout(budget).unwrap_or(Attempt::TimedOut)
+    };
+    drive(cfg, opts, items.len(), attempt, digest_of)
 }

@@ -79,7 +79,7 @@ impl fmt::Display for DeviceMetrics {
 /// The fleet driver's outcome ledger: how every task of a run ended,
 /// how often tasks were retried, and how long attempts took.
 ///
-/// One ledger describes one `run_fleet_supervised` invocation; the
+/// One ledger describes one fleet run (plain or supervised); the
 /// driver fills it from the per-slot outcomes **in task-index order**
 /// after every worker has finished, so the counters are reproducible
 /// for any worker count. The attempt-latency histogram measures host

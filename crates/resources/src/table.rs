@@ -369,8 +369,8 @@ impl ResourceTable {
 
     /// Fetches this configuration's resolved view once, for a run of
     /// lookups that all share `config` — the inflater resolves every
-    /// attribute of a layout this way. A per-lookup [`resolve`]
-    /// (ResourceTable::resolve) pays the memo probe (config digest,
+    /// attribute of a layout this way. A per-lookup
+    /// [`resolve`](ResourceTable::resolve) pays the memo probe (config digest,
     /// shard lock, `Arc` traffic) on every call, which costs more than
     /// the sorted first-match scan it replaces; the handle pays it once
     /// and answers each lookup with a plain map read. With the memo

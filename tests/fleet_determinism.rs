@@ -10,8 +10,8 @@ use droidsim_app::SimpleApp;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_fleet::{
-    combine_indexed, combine_ordered, run_fleet, run_fleet_reduce, run_fleet_supervised, Digest,
-    FleetConfig, FleetOptions, TaskCtx, TaskOutcome,
+    combine_ordered, run_fleet, run_fleet_supervised, Digest, FleetConfig, FleetOptions, TaskCtx,
+    TaskOutcome,
 };
 use droidsim_kernel::SimDuration;
 
@@ -101,34 +101,31 @@ const WIDE: usize = 24;
 
 #[test]
 fn chunked_claiming_and_streaming_reduce_match_inline() {
+    // Both entry points of the one driver — plain `run_fleet` and the
+    // supervised run with default options — must give the inline
+    // results when K>1 chunks are claimed.
+    let items: Vec<usize> = (0..WIDE).collect();
     for seed in [1u64, 2, 3] {
-        let items: Vec<usize> = (0..WIDE).collect();
         let serial = run_fleet(&FleetConfig::new(1, seed), items.clone(), device_task);
-        let reduce_serial = run_fleet_reduce(&FleetConfig::new(1, seed), &items, |ctx, &i| {
-            device_task(ctx, i)
-        });
-        // The streaming reduction is by definition the indexed fold of
-        // the per-task digests.
-        let tagged: Vec<(u64, u64)> = serial
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (i as u64, d))
-            .collect();
-        assert_eq!(reduce_serial, combine_indexed(tagged), "seed {seed}");
         for jobs in [2usize, 4] {
+            let cfg = FleetConfig::new(jobs, seed);
             assert_eq!(
-                run_fleet(&FleetConfig::new(jobs, seed), items.clone(), device_task),
+                run_fleet(&cfg, items.clone(), device_task),
                 serial,
                 "seed {seed}: chunked claiming at jobs={jobs} diverged"
             );
+            let run = run_fleet_supervised(
+                &cfg,
+                &FleetOptions::new(),
+                items.clone(),
+                device_task,
+                |d| *d,
+            )
+            .unwrap();
+            let results: Vec<u64> = run.outcomes.iter().map(|o| *o.ok().unwrap()).collect();
             assert_eq!(
-                run_fleet_reduce(
-                    &FleetConfig::new(jobs, seed),
-                    &items,
-                    |ctx, &i| device_task(ctx, i)
-                ),
-                reduce_serial,
-                "seed {seed}: streaming reduce at jobs={jobs} diverged"
+                results, serial,
+                "seed {seed}: supervised chunked claiming at jobs={jobs} diverged"
             );
         }
     }
@@ -138,8 +135,8 @@ fn chunked_claiming_and_streaming_reduce_match_inline() {
 fn chunked_supervised_run_with_retries_matches_inline_unordered() {
     // The supervised driver claims the same K>1 chunks; a forced
     // transient fault (first attempt of task 3 panics, the retry
-    // re-derives the identical stream) must leave both the ordered and
-    // the unordered study digests bit-identical to the inline run.
+    // re-derives the identical stream) must leave the study digest
+    // bit-identical to the inline run.
     let items: Vec<usize> = (0..WIDE).collect();
     let plan = FaultPlan::seeded(5).on_nth_probe(FaultSite::FleetTask, 4);
     let opts = FleetOptions::new().with_retries(2).with_faults(plan);
@@ -170,12 +167,7 @@ fn chunked_supervised_run_with_retries_matches_inline_unordered() {
         assert_eq!(
             run.combined_digest(),
             inline.combined_digest(),
-            "jobs={jobs}: ordered study digest diverged"
-        );
-        assert_eq!(
-            run.combined_digest_unordered(),
-            inline.combined_digest_unordered(),
-            "jobs={jobs}: unordered study digest diverged"
+            "jobs={jobs}: study digest diverged"
         );
     }
 }

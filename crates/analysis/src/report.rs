@@ -278,8 +278,8 @@ pub fn analyze_specs(
     cfg: &FleetConfig,
     allow: &Suppressions,
 ) -> AnalysisReport {
-    let apps = run_fleet(cfg, specs.to_vec(), |_ctx, spec| {
-        AppAnalysis::of(&spec, allow)
+    let apps = run_fleet(cfg, specs.iter().collect(), |_ctx, spec| {
+        AppAnalysis::of(spec, allow)
     });
     let mut ledger = AnalysisLedger::new();
     for a in &apps {

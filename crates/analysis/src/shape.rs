@@ -8,25 +8,21 @@
 //! the async specs, the app's manifest-level flags, and (for data-loss
 //! corpus apps) the per-field persistence descriptors.
 //!
-//! Extraction is memoized through [`kernel::memo`](droidsim_kernel::memo):
-//! the throwaway `perform_create` per configuration re-inflates
-//! identical templates, and corpus runs (lint, then the differential's
-//! static side, then a bench pass) extract the same shapes repeatedly.
-//! The cache key is the descriptor's content digest × the analyzed
-//! configuration digests — the descriptor deterministically generates
-//! the resource table, so keying on its content is the content-addressed
-//! equivalent of template digest × config digest without paying for
-//! resource construction on a hit. `tests/memo_parity.rs` holds the
-//! memoized path byte-equal to the cold path.
+//! Each orientation inflates its template once: the strict inflation
+//! doubles as the tree `onCreate` starts from, and only a template that
+//! fails it is inflated again, leniently, as the runtime would. The
+//! finished tree is moved out of the throwaway activity, not copied.
+//! Extraction itself is not memoized: every app of a corpus has its own
+//! shape and an `rchlint` process analyses each app once, so a shape
+//! cache would never hit. The resolve and inflate caches underneath
+//! still apply, and `tests/memo_parity.rs` holds the analysis results
+//! equal with them on and off.
 
 use droidsim_app::{Activity, ActivityInstanceId, AppModel, AsyncSpec};
 use droidsim_atms::ActivityRecordId;
 use droidsim_config::{ConfigChanges, Configuration};
-use droidsim_fleet::Digest;
-use droidsim_kernel::memo::{self, Admission, MemoCache};
 use droidsim_view::{try_inflate, ViewError, ViewId, ViewTree};
 use rch_workloads::{DataLossScenario, FieldOwner, FieldPersistence, GenericAppSpec};
-use std::sync::{Once, OnceLock};
 
 /// One inflated configuration of the app's main layout.
 #[derive(Debug, Clone)]
@@ -70,83 +66,9 @@ fn analyzed_configs() -> [(&'static str, Configuration); 2] {
     ]
 }
 
-/// Content digest of everything in the descriptor that shape extraction
-/// can observe (the descriptor generates the resource table and the
-/// model's `onCreate` behaviour, so this covers the template content),
-/// crossed with the analyzed configuration digests.
-fn shape_key(spec: &GenericAppSpec) -> u64 {
-    let mut d = Digest::new();
-    d.write_str(&spec.name);
-    d.write_str(spec.downloads);
-    d.write_str(spec.issue.as_deref().unwrap_or(""));
-    d.write_u64(spec.view_count as u64);
-    d.write_u64(spec.complexity.to_bits());
-    d.write_u64(spec.base_memory_bytes);
-    d.write_u64(spec.activity_heap_bytes);
-    d.write_u64(u64::from(spec.handles_changes));
-    d.write_u64(u64::from(spec.saves_instance_state));
-    d.write_u64(u64::from(spec.uses_async_task));
-    d.write_u64(spec.state_items.len() as u64);
-    for item in &spec.state_items {
-        d.write_str(&item.key);
-        d.write_u64(memo::stable_hash(&item.mechanism));
-        d.write_str(&item.test_value);
-    }
-    match &spec.dataloss {
-        None => d.write_u64(0),
-        Some(dl) => {
-            d.write_u64(1 + memo::stable_hash(&dl.class));
-            d.write_u64(dl.fields.len() as u64);
-            for f in &dl.fields {
-                d.write_str(&f.key);
-                d.write_u64(memo::stable_hash(&f.owner));
-                d.write_u64(memo::stable_hash(&f.persistence));
-                d.write_str(&f.test_value);
-            }
-        }
-    }
-    for (label, config) in analyzed_configs() {
-        d.write_str(label);
-        d.write_u64(memo::stable_hash(&config));
-    }
-    d.finish()
-}
-
-/// The process-wide shape cache: a hit skips resource construction and
-/// both per-orientation inflate + `perform_create` walks.
-fn shape_cache() -> &'static MemoCache<u64, AppShape> {
-    static CACHE: OnceLock<MemoCache<u64, AppShape>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("shape", 256, |shape: &AppShape| {
-            shape.trees.iter().map(|t| t.tree.heap_bytes()).sum()
-        })
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
-}
-
 impl AppShape {
-    /// Extracts the shape of a corpus descriptor, memoized on the
-    /// descriptor's content digest.
+    /// Extracts the shape of a corpus descriptor.
     pub fn from_spec(spec: &GenericAppSpec) -> AppShape {
-        if memo::enabled() {
-            let key = shape_key(spec);
-            match shape_cache().probe(key) {
-                Admission::Hit(cached) => return (*cached).clone(),
-                Admission::Build => {
-                    let built = AppShape::from_spec_cold(spec);
-                    shape_cache().publish(key, built.clone());
-                    return built;
-                }
-                Admission::Skip => {}
-            }
-        }
-        AppShape::from_spec_cold(spec)
-    }
-
-    /// The uncached extraction walk.
-    fn from_spec_cold(spec: &GenericAppSpec) -> AppShape {
         let app = spec.build();
         let mut async_specs = Vec::new();
         if spec.uses_async_task {
@@ -168,16 +90,14 @@ impl AppShape {
         let mut trees = Vec::new();
         let mut inflate_errors = Vec::new();
         for (label, config) in analyzed_configs() {
-            // Strict pre-flight on the raw template: the runtime
-            // inflater is lenient and would hide a truncated subtree.
-            if let Ok(template) = model
+            // Strict inflation on the raw template: the runtime inflater
+            // is lenient and would hide a truncated subtree. When it
+            // succeeds its tree is exactly the lenient one, so `onCreate`
+            // starts from it.
+            let strict = model
                 .resources()
                 .resolve_layout(model.main_layout(), &config)
-            {
-                if let Err(e) = try_inflate(template, model.resources(), &config) {
-                    inflate_errors.push((label, e));
-                }
-            }
+                .map(|template| try_inflate(template, model.resources(), &config));
             // A throwaway instance gives the post-`onCreate` tree —
             // including dynamically added views — without any device.
             let mut activity = Activity::new(
@@ -186,11 +106,16 @@ impl AppShape {
                 model.component_name(),
                 config,
             );
-            activity.perform_create(model, None);
-            trees.push(ConfigTree {
-                label,
-                tree: activity.tree.clone(),
-            });
+            match strict {
+                Ok(Ok(inflated)) => activity.perform_create_inflated(model, inflated, None),
+                Ok(Err(e)) => {
+                    inflate_errors.push((label, e));
+                    activity.perform_create(model, None);
+                }
+                Err(_) => activity.perform_create(model, None),
+            }
+            let Activity { tree, .. } = activity;
+            trees.push(ConfigTree { label, tree });
         }
         AppShape {
             app: app.to_owned(),
@@ -279,6 +204,89 @@ mod tests {
         assert!(!shape.handles_changes);
     }
 
+    /// An app whose main layout nests a view under a `TextView` in both
+    /// orientations: it inflates leniently but not strictly.
+    struct OrphanApp(droidsim_resources::ResourceTable);
+
+    impl OrphanApp {
+        fn new() -> OrphanApp {
+            use droidsim_config::Orientation;
+            use droidsim_resources::{
+                LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue,
+            };
+            let mut table = ResourceTable::new();
+            for qualifiers in [
+                Qualifiers::any(),
+                Qualifiers::any().with_orientation(Orientation::Landscape),
+            ] {
+                let root = LayoutNode::new("LinearLayout")
+                    .with_id("root")
+                    .with_child(
+                        LayoutNode::new("TextView")
+                            .with_id("title")
+                            .with_child(LayoutNode::new("Button").with_id("orphan")),
+                    )
+                    .with_child(LayoutNode::new("Button").with_id("go"));
+                table.put(
+                    "activity_main",
+                    qualifiers,
+                    ResourceValue::Layout(LayoutTemplate::new("activity_main", root)),
+                );
+            }
+            OrphanApp(table)
+        }
+    }
+
+    impl AppModel for OrphanApp {
+        fn component_name(&self) -> &str {
+            "com.orphan/.Main"
+        }
+
+        fn resources(&self) -> &droidsim_resources::ResourceTable {
+            &self.0
+        }
+
+        fn main_layout(&self) -> &str {
+            "activity_main"
+        }
+    }
+
+    #[test]
+    fn strict_failure_falls_back_to_the_lenient_create() {
+        let app = OrphanApp::new();
+        let shape = AppShape::from_model("Orphan", &app, Vec::new());
+        let failed: Vec<_> = shape.inflate_errors.iter().map(|(l, _)| *l).collect();
+        assert_eq!(failed, ["portrait", "landscape"]);
+        for (_, e) in &shape.inflate_errors {
+            assert!(matches!(e, ViewError::NotAContainer { .. }), "{e:?}");
+        }
+        for ((label, config), ct) in analyzed_configs().into_iter().zip(&shape.trees) {
+            assert_eq!(ct.label, label);
+            let mut fresh = Activity::new(
+                ActivityInstanceId::new(0),
+                ActivityRecordId::new(0),
+                app.component_name(),
+                config,
+            );
+            fresh.perform_create(&app, None);
+            assert_eq!(ct.tree, fresh.tree, "{label}: the lenient onCreate tree");
+            assert!(ct.tree.find_by_id_name("orphan").is_none(), "{label}");
+            assert!(ct.tree.find_by_id_name("title").is_some(), "{label}");
+            assert!(ct.tree.find_by_id_name("go").is_some(), "{label}");
+        }
+        let strict_errors: Vec<_> = crate::analyze_app(&shape, None)
+            .into_iter()
+            .filter(|d| d.message.contains("does not inflate strictly"))
+            .collect();
+        assert_eq!(strict_errors.len(), 2);
+        for d in &strict_errors {
+            assert_eq!(
+                (d.code.code(), d.severity),
+                ("RCH002", crate::Severity::Error)
+            );
+        }
+    }
+
     #[test]
     fn view_paths_walk_from_decor_down() {
         let spec = spec_with(StateItem::new(
@@ -327,9 +335,9 @@ mod tests {
 
     #[test]
     fn distinct_descriptors_never_collide_in_the_cache() {
-        // Same name, different dataloss descriptor: the memo key must
-        // separate them or the second extraction would return the
-        // first's trees.
+        // Same name, different dataloss descriptor: the resolve and
+        // inflate cache keys must separate them or the second extraction
+        // would return the first's trees.
         let mut a = GenericAppSpec::sized("ShapeTwin", "1K+", false);
         a.dataloss = Some(DataLossScenario::new(
             DataLossClass::AsyncRace,

@@ -105,7 +105,7 @@ impl Activity {
         // Inflate straight from the resolved template reference — the
         // old deep clone of the whole template per create was the single
         // largest allocation on the relaunch path.
-        let (tree, stats) = match model
+        let inflated = match model
             .resources()
             .resolve_layout(model.main_layout(), &self.config)
         {
@@ -118,6 +118,21 @@ impl Activity {
                 inflate(&fallback, model.resources(), &self.config)
             }
         };
+        self.perform_create_inflated(model, inflated, saved);
+    }
+
+    /// The rest of `onCreate` once the main layout is inflated: installs
+    /// `(tree, stats)` as this instance's hierarchy, lets the model add
+    /// dynamic views, and restores `saved` if supplied. A caller that
+    /// already holds this configuration's inflation of the main layout
+    /// (the static analyzer's strict pre-flight) passes it here instead
+    /// of inflating the template a second time.
+    pub fn perform_create_inflated(
+        &mut self,
+        model: &dyn AppModel,
+        (tree, stats): (ViewTree, InflateStats),
+        saved: Option<&Bundle>,
+    ) {
         self.tree = tree;
         self.inflate_stats = stats;
         self.fragments.clear();

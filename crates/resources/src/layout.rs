@@ -172,10 +172,12 @@ pub struct LayoutTemplate {
 }
 
 impl Hash for LayoutTemplate {
+    /// Writes the cached [`content digest`](LayoutTemplate::content_digest),
+    /// so hashing a table that holds this template (its fingerprint) fills
+    /// the digest the inflater keys on instead of walking the nodes twice.
+    /// Equal templates digest equal, so this agrees with `Eq`.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Content only — the digest cell is a cache, not state.
-        self.name.hash(state);
-        self.root.hash(state);
+        state.write_u64(self.content_digest());
     }
 }
 
@@ -216,7 +218,7 @@ impl LayoutTemplate {
         if cached != 0 {
             return cached;
         }
-        let d = memo::stable_hash(self);
+        let d = memo::stable_hash(&(&self.name, &self.root));
         let d = if d == 0 { memo::FNV_PRIME } else { d };
         self.digest.0.store(d, Ordering::Relaxed);
         d

@@ -216,7 +216,9 @@ impl ResourceTable {
 
     /// The table's content fingerprint: an FNV-1a fold over every
     /// `(name, qualifiers, value)` entry, computed lazily and cached
-    /// until the next [`ResourceTable::put`]. Equal-content tables
+    /// until the next [`ResourceTable::put`]. A layout entry folds in
+    /// its template's [`content_digest`](LayoutTemplate::content_digest),
+    /// filling the digest the inflater keys on. Equal-content tables
     /// fingerprint equal, which is what keys the process-wide
     /// resolved-view and inflation caches. Never `0` (the dirty
     /// sentinel).

@@ -10,8 +10,10 @@
 //! this binary serialises on [`FLAG_LOCK`] and restores the enabled
 //! state on exit (panic included) via [`MemoGuard`].
 
-use droidsim_analysis::{AppAnalysis, Suppressions};
-use droidsim_app::{AppModel, SimpleApp};
+use droidsim_analysis::{analyze_specs, AppAnalysis, AppShape, Suppressions};
+use droidsim_app::{Activity, ActivityInstanceId, AppModel, SimpleApp};
+use droidsim_atms::ActivityRecordId;
+use droidsim_config::Configuration;
 use droidsim_device::{Device, HandlingMode};
 use droidsim_faults::FaultPlan;
 use droidsim_fleet::{run_fleet, Digest, FleetConfig, TaskCtx};
@@ -194,11 +196,11 @@ proptest! {
     }
 }
 
-/// The analyzer's `AppShape` extraction is memoized through the same
-/// `kernel::memo` registry as the runtime caches. Cold (memo off),
-/// first-warm (fills), second-warm (hits), and post-reclaim /
-/// post-invalidate analyses of the same corpus must produce identical
-/// per-app digests — diagnostics, verdicts and suppression counts.
+/// The analyzer's shape extraction runs through the resolve and inflate
+/// caches of the `kernel::memo` registry. Cold (memo off), first-warm
+/// (fills), second-warm (hits), and post-reclaim / post-invalidate
+/// analyses of the same corpus must produce identical per-app digests
+/// — diagnostics, verdicts and suppression counts.
 #[test]
 fn shape_memoization_never_changes_analysis_results() {
     let _serial = FLAG_LOCK.lock().unwrap();
@@ -217,8 +219,16 @@ fn shape_memoization_never_changes_analysis_results() {
         digest_all()
     };
     let _on = MemoGuard::set(true);
-    assert_eq!(digest_all(), cold, "first warm pass fills the shape cache");
-    assert_eq!(digest_all(), cold, "second warm pass hits the shape cache");
+    assert_eq!(
+        digest_all(),
+        cold,
+        "first warm pass fills the resolve and inflate caches"
+    );
+    assert_eq!(
+        digest_all(),
+        cold,
+        "second warm pass hits the resolve and inflate caches"
+    );
     memo::reclaim_all();
     assert_eq!(digest_all(), cold, "reclaim never changes analysis results");
     memo::invalidate_all();
@@ -291,6 +301,74 @@ fn table5_gives_the_committed_digest_with_and_without_the_caches() {
                 "memo {on}, jobs={jobs}: {:016x}",
                 study.digest()
             );
+        }
+    }
+}
+
+/// The committed `rchlint` report digest of the full corpus (as printed
+/// by `rchlint --corpus all`).
+const LINT_DIGEST: u64 = 0xcf1b_f18d_db37_e9f3;
+
+/// tp27, top100 and dataloss: the `rchlint --corpus all` corpus.
+fn lint_corpus() -> Vec<GenericAppSpec> {
+    [
+        rch_workloads::tp27_specs(),
+        rch_workloads::top100_specs(),
+        rch_workloads::dataloss_specs(),
+    ]
+    .concat()
+}
+
+#[test]
+fn lint_report_gives_the_committed_digest_with_and_without_the_caches() {
+    let _serial = FLAG_LOCK.lock().unwrap();
+    let specs = lint_corpus();
+    for on in [false, true] {
+        let _guard = MemoGuard::set(on);
+        for jobs in [1usize, 2] {
+            let report = analyze_specs(&specs, &FleetConfig::new(jobs, 0), &Suppressions::none());
+            assert_eq!(
+                report.digest(),
+                LINT_DIGEST,
+                "memo {on}, jobs={jobs}: {:016x}",
+                report.digest()
+            );
+        }
+    }
+}
+
+/// Shape extraction starts `onCreate` from its strict inflation instead
+/// of inflating again: every extracted tree must equal the tree a fresh
+/// `perform_create` builds — fragments and dynamic views included.
+#[test]
+fn shape_trees_equal_a_fresh_on_create_with_and_without_the_caches() {
+    let _serial = FLAG_LOCK.lock().unwrap();
+    let specs = lint_corpus();
+    let configs = [
+        Configuration::phone_portrait(),
+        Configuration::phone_landscape(),
+    ];
+    for on in [false, true] {
+        let _guard = MemoGuard::set(on);
+        for spec in &specs {
+            let shape = AppShape::from_spec(spec);
+            let app = spec.build();
+            assert_eq!(shape.trees.len(), configs.len(), "{}", spec.name);
+            for (ct, config) in shape.trees.iter().zip(&configs) {
+                let mut fresh = Activity::new(
+                    ActivityInstanceId::new(0),
+                    ActivityRecordId::new(0),
+                    app.component_name(),
+                    config.clone(),
+                );
+                fresh.perform_create(&app, None);
+                assert!(
+                    ct.tree == fresh.tree,
+                    "memo {on}, {} {}: extracted tree differs from onCreate's",
+                    spec.name,
+                    ct.label
+                );
+            }
         }
     }
 }

@@ -16,8 +16,10 @@ ci: build test perfbench-test fmt clippy doc fault-matrix fleet-determinism \
 # cross-checks the two flush policies against each other.
 FAULT_SEEDS ?= 1 2 3 5 8
 
+# `--locked`: a change that adds or drops a dependency must commit the
+# updated Cargo.lock instead of letting cargo rewrite it quietly.
 build:
-	$(CARGO) build --release
+	$(CARGO) build --release --locked
 
 test:
 	$(CARGO) test -q

@@ -119,10 +119,15 @@ impl AnalysisReport {
                 out.push('\n');
             }
         }
+        let l = &self.ledger;
         out.push_str(&format!(
-            "{}\nfingerprint: {}\n",
-            self.ledger,
-            self.ledger.deterministic_fingerprint()
+            "{} app(s): {} clean, {} error(s), {} warning(s), {} suppressed\nfingerprint: {}\n",
+            l.apps,
+            l.clean_apps,
+            l.errors,
+            l.warnings,
+            l.suppressed,
+            l.deterministic_fingerprint()
         ));
         out
     }

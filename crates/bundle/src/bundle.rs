@@ -1,7 +1,6 @@
 //! The [`Bundle`] container and its [`Value`] variants.
 
 use crate::parcel::Parcel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -10,7 +9,7 @@ use std::sync::Arc;
 /// The variants cover what the simulator's views and app models save:
 /// primitives, strings, blobs, lists, and nested bundles (used for the view
 /// hierarchy state, keyed by view id).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A boolean.
     Bool(bool),
@@ -93,7 +92,7 @@ value_from!(Bundle => Nested);
 /// b.put("progress", 43i32); // copy-on-write detaches `b`
 /// assert_eq!(snapshot.i32("progress"), Some(42));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Bundle {
     entries: Arc<BTreeMap<String, Value>>,
 }

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_fleet::CancelToken;
 use droidsim_kernel::journal;
-use droidsim_metrics::{DaemonLedger, FleetLedger};
+use droidsim_metrics::{DaemonLedger, FleetLedger, Histogram};
 
 use crate::faultio::IoFaults;
 use crate::headroom::HeadroomProbe;
@@ -291,7 +291,8 @@ pub struct DaemonStats {
     /// Admission/outcome counters, with the queue gauge and the
     /// allocation counter refreshed at snapshot time.
     pub ledger: DaemonLedger,
-    /// Fleet ledgers of every job completed this daemon life, merged.
+    /// Fleet ledgers of every job completed this daemon life, merged
+    /// without their attempt-latency samples.
     pub fleet: FleetLedger,
     /// Pool size.
     pub workers: usize,
@@ -923,7 +924,10 @@ fn run_job(shared: &Arc<Shared>, job: &QueuedJob) {
         },
     };
     match verdict {
-        JobVerdict::Done { digest, fleet } => {
+        JobVerdict::Done { digest, mut fleet } => {
+            // A histogram keeps every sample, so lifetime totals would
+            // grow by one per task attempt forever; keep counters only.
+            fleet.attempt_latency_ms = Histogram::new();
             lock(&shared.fleet_totals).merge(&fleet);
             settle(shared, id, JobState::Done { digest });
         }
@@ -1180,6 +1184,39 @@ mod tests {
         assert_eq!(stats.ledger.accepted, 4);
         assert_eq!(stats.ledger.completed, 4);
         assert_eq!(stats.ledger.in_flight(), 0);
+    }
+
+    /// Reports `seed` finished tasks, each with one attempt latency.
+    struct TaskCountExecutor;
+
+    impl JobExecutor for TaskCountExecutor {
+        fn execute(&self, spec: &JobSpec, _ctl: &JobControl) -> JobVerdict {
+            let mut fleet = FleetLedger::new();
+            for _ in 0..spec.seed {
+                fleet.ok += 1;
+                fleet.attempt_latency_ms.record(1.5);
+            }
+            JobVerdict::Done {
+                digest: digest_of_seed(spec.seed),
+                fleet,
+            }
+        }
+    }
+
+    #[test]
+    fn lifetime_fleet_totals_keep_counters_not_latency_samples() {
+        let d = Daemon::start(DaemonConfig::new().with_workers(2), TaskCountExecutor).unwrap();
+        let ids: Vec<u64> = [3, 5, 8]
+            .into_iter()
+            .map(|seed| accepted_id(&d.submit(spec(seed))))
+            .collect();
+        for id in ids {
+            d.wait(id, Duration::from_secs(5)).unwrap();
+        }
+        d.shutdown(ShutdownMode::Drain);
+        let fleet = d.stats().fleet;
+        assert_eq!(fleet.ok, 16, "{fleet}");
+        assert!(fleet.attempt_latency_ms.is_empty(), "{fleet}");
     }
 
     #[test]

@@ -417,13 +417,15 @@ pub(crate) fn dispatch(
             out.extend(daemon.health_fields());
             out.push(("workers", stats.workers.to_string()));
             out.push(("queue_capacity", stats.queue_capacity.to_string()));
-            out.push(("queue_depth", stats.ledger.queue_depth.to_string()));
+            out.push(("queue_depth", stats.ledger.queue_depth.0.to_string()));
             out
         }
         Some("stats") => {
             let stats = daemon.stats();
             let mut out = vec![("ok", "true".to_owned())];
             out.extend(stats.ledger.kv_fields());
+            // Derived, so not a ledger entry: the server adds it itself.
+            out.push(("in_flight", stats.ledger.in_flight().to_string()));
             // Warm-path cache telemetry (fingerprint-excluded): the memo
             // caches live as process statics, so a live capture here is
             // exactly the worker pool's accumulated hit/miss picture.
@@ -454,6 +456,7 @@ mod tests {
     use crate::daemon::{DaemonConfig, JobControl, JobExecutor, JobVerdict};
     use crate::spec::{JobKind, JobSpec};
     use crate::Client;
+    use droidsim_kernel::memo;
     use droidsim_metrics::FleetLedger;
     use std::io::Read;
     use std::path::PathBuf;
@@ -715,6 +718,82 @@ mod tests {
         daemon.shutdown(ShutdownMode::Drain);
         let resp = dispatch(&daemon, &req, DEFAULT_WAIT_MS);
         assert!(resp.iter().any(|(k, v)| *k == "state" && v == "stopped"));
+    }
+
+    /// Registers stand-ins for the three warm-path caches, once per
+    /// process, so `cmd=stats` carries every per-cache memo field.
+    fn register_warm_path_caches() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            for name in ["resolve", "inflate", "mapping"] {
+                let cache: &'static memo::MemoCache<u64, u64> =
+                    Box::leak(Box::new(memo::MemoCache::new(name, 1, |_| 0)));
+                memo::register(cache);
+            }
+        });
+    }
+
+    #[test]
+    fn stats_and_health_keys_are_pinned() {
+        register_warm_path_caches();
+        let daemon = Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap();
+        let keys = |cmd: &str| {
+            let req = journal::decode_line(&format!("cmd={cmd}")).unwrap();
+            let mut keys: Vec<&str> = dispatch(&daemon, &req, DEFAULT_WAIT_MS)
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let mut stats = vec![
+            "ok",
+            "accepted",
+            "rejected",
+            "rejected_injected",
+            "shed",
+            "resumed",
+            "completed",
+            "failed",
+            "cancelled",
+            "deadline_expired",
+            "reclaim_passes",
+            "in_flight",
+            "queue_depth",
+            "queue_high_water",
+            "alloc_events",
+            "degraded_entries",
+            "journal_faults",
+            "dedupe_hits",
+            "conns_rejected",
+            "slowloris_closed",
+            "memo_hits",
+            "memo_misses",
+            "memo_evictions",
+            "memo_bytes",
+            "memo_inflate",
+            "memo_mapping",
+            "memo_resolve",
+            "workers",
+            "queue_capacity",
+            "fleet",
+        ];
+        stats.sort_unstable();
+        assert_eq!(keys("stats"), stats);
+        let mut health = vec![
+            "ok",
+            "state",
+            "journal",
+            "journal_degraded",
+            "journal_backlog",
+            "in_flight",
+            "workers",
+            "queue_capacity",
+            "queue_depth",
+        ];
+        health.sort_unstable();
+        assert_eq!(keys("health"), health);
+        daemon.shutdown(ShutdownMode::Drain);
     }
 
     #[test]

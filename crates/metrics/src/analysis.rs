@@ -9,96 +9,40 @@
 //! `LintCode` enum.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// Totals for one analyzer run over one corpus.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AnalysisLedger {
-    /// Apps analyzed.
-    pub apps: u64,
-    /// Apps with no diagnostics at all (after suppression).
-    pub clean_apps: u64,
-    /// Diagnostics with error severity.
-    pub errors: u64,
-    /// Diagnostics with warning severity.
-    pub warnings: u64,
-    /// Diagnostics dropped by `--allow` suppression rules.
-    pub suppressed: u64,
-    /// Diagnostic count per lint code (e.g. `"RCH004"`), sorted by code.
-    pub by_code: BTreeMap<String, u64>,
-    /// Apps the verdict pass predicts to have an issue under stock
-    /// (Android 10) handling.
-    pub predicted_stock_issues: u64,
-    /// Apps the verdict pass predicts to still have an issue under
-    /// RCHDroid.
-    pub predicted_rchdroid_issues: u64,
-    /// Apps the verdict pass predicts to still have an issue under
-    /// RuntimeDroid's in-place hot reload.
-    pub predicted_runtimedroid_issues: u64,
-    /// Apps carrying a data-loss scenario descriptor.
-    pub dataloss_apps: u64,
-    /// Apps flagged lossy in at least one mode, per data-loss class
-    /// label (e.g. `"stop-restart"`), sorted by label.
-    pub dataloss_by_class: BTreeMap<String, u64>,
-}
+use crate::registry::ledger;
 
-impl AnalysisLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        AnalysisLedger::default()
-    }
-
-    /// Folds another ledger (e.g. one app's contribution) into this one.
-    pub fn merge(&mut self, other: &AnalysisLedger) {
-        self.apps += other.apps;
-        self.clean_apps += other.clean_apps;
-        self.errors += other.errors;
-        self.warnings += other.warnings;
-        self.suppressed += other.suppressed;
-        for (code, n) in &other.by_code {
-            *self.by_code.entry(code.clone()).or_insert(0) += n;
-        }
-        self.predicted_stock_issues += other.predicted_stock_issues;
-        self.predicted_rchdroid_issues += other.predicted_rchdroid_issues;
-        self.predicted_runtimedroid_issues += other.predicted_runtimedroid_issues;
-        self.dataloss_apps += other.dataloss_apps;
-        for (class, n) in &other.dataloss_by_class {
-            *self.dataloss_by_class.entry(class.clone()).or_insert(0) += n;
-        }
-    }
-
-    /// A single stable line summarising the run. Every field is derived
-    /// from the corpus descriptors alone (no wall-clock, no worker
-    /// count), so the fingerprint must be bit-identical between serial
-    /// and parallel runs — the analysis analogue of
-    /// [`crate::DeviceMetrics::deterministic_fingerprint`].
-    pub fn deterministic_fingerprint(&self) -> String {
-        format!(
-            "analysis[apps={} clean={} errors={} warnings={} suppressed={} \
-             by_code={:?} predicted[stock={} rchdroid={} runtimedroid={}] \
-             dataloss[apps={} by_class={:?}]]",
-            self.apps,
-            self.clean_apps,
-            self.errors,
-            self.warnings,
-            self.suppressed,
-            self.by_code,
-            self.predicted_stock_issues,
-            self.predicted_rchdroid_issues,
-            self.predicted_runtimedroid_issues,
-            self.dataloss_apps,
-            self.dataloss_by_class,
-        )
-    }
-}
-
-impl fmt::Display for AnalysisLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} app(s): {} clean, {} error(s), {} warning(s), {} suppressed",
-            self.apps, self.clean_apps, self.errors, self.warnings, self.suppressed
-        )
+ledger! {
+    /// Totals for one analyzer run over one corpus. Every entry is
+    /// derived from the corpus descriptors alone (no wall-clock, no
+    /// worker count), so every entry is `det`.
+    pub struct AnalysisLedger as "analysis" {
+        /// Apps analyzed.
+        pub det apps: u64,
+        /// Apps with no diagnostics at all (after suppression).
+        pub det clean_apps: u64,
+        /// Diagnostics with error severity.
+        pub det errors: u64,
+        /// Diagnostics with warning severity.
+        pub det warnings: u64,
+        /// Diagnostics dropped by `--allow` suppression rules.
+        pub det suppressed: u64,
+        /// Diagnostic count per lint code (e.g. `"RCH004"`), sorted by code.
+        pub det by_code: BTreeMap<String, u64>,
+        /// Apps the verdict pass predicts to have an issue under stock
+        /// (Android 10) handling.
+        pub det predicted_stock_issues: u64,
+        /// Apps the verdict pass predicts to still have an issue under
+        /// RCHDroid.
+        pub det predicted_rchdroid_issues: u64,
+        /// Apps the verdict pass predicts to still have an issue under
+        /// RuntimeDroid's in-place hot reload.
+        pub det predicted_runtimedroid_issues: u64,
+        /// Apps carrying a data-loss scenario descriptor.
+        pub det dataloss_apps: u64,
+        /// Apps flagged lossy in at least one mode, per data-loss class
+        /// label (e.g. `"stop-restart"`), sorted by label.
+        pub det dataloss_by_class: BTreeMap<String, u64>,
     }
 }
 
@@ -142,8 +86,10 @@ mod tests {
         let fp = l.deterministic_fingerprint();
         assert_eq!(fp, l.clone().deterministic_fingerprint());
         assert!(fp.contains("RCH006"));
-        assert!(fp.contains("predicted[stock=1 rchdroid=0 runtimedroid=0]"));
-        assert!(fp.contains("dataloss[apps=0 by_class={}]"));
+        assert!(fp.contains(
+            "predicted_stock_issues=1 predicted_rchdroid_issues=0 predicted_runtimedroid_issues=0"
+        ));
+        assert!(fp.contains("dataloss_apps=0 dataloss_by_class={}"));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! `droidsimd` is a long-running service: unlike one fleet run's
 //! [`FleetLedger`](crate::FleetLedger), its ledger accumulates over the
-//! daemon's whole lifetime (and, via [`DaemonLedger::merge`], across a
-//! restart). The counters answer the questions an operator asks an
-//! overloaded service: how many jobs were accepted vs explicitly
-//! rejected, how many the shedder dropped with an explicit verdict, how
-//! deep the admission queue got, and how much the resume pass recovered
-//! after a crash.
+//! daemon's whole lifetime. A restart does not merge the previous
+//! life's ledger; it rebuilds the outcome counters from the journal.
+//! The counters answer the questions an operator asks an overloaded
+//! service: how many jobs were accepted vs explicitly rejected, how many
+//! the shedder dropped with an explicit verdict, how deep the admission
+//! queue got, and how much the resume pass recovered after a crash.
 //!
 //! Every rejected or shed job shows up here — the daemon's contract is
 //! *zero silent drops*, so `accepted == completed + failed + cancelled +
@@ -15,67 +15,69 @@
 //! renders this ledger so external tooling (the `bench_gate` family) can
 //! assert exactly that.
 
-use core::fmt;
+use crate::registry::{ledger, Gauge, HighWater};
 
-/// Lifetime counters and gauges for one `droidsimd` process.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DaemonLedger {
-    /// Jobs acknowledged: journaled, then answered `accepted`.
-    pub accepted: u64,
-    /// Submissions answered `rejected` (queue full, shutdown, bad spec,
-    /// or an injected admission fault) — never silently dropped.
-    pub rejected: u64,
-    /// Of the rejected, how many were injected admission faults.
-    pub rejected_injected: u64,
-    /// Accepted jobs the shedder dropped under queue/memory pressure,
-    /// each with an explicit terminal `shed` state a waiter observes.
-    pub shed: u64,
-    /// Accepted jobs re-enqueued by a restart's journal resume pass.
-    pub resumed: u64,
-    /// Jobs that ran to completion with a digest.
-    pub completed: u64,
-    /// Jobs whose execution failed (quarantined tasks, executor panic).
-    pub failed: u64,
-    /// Jobs cancelled by a client or a blown deadline.
-    pub cancelled: u64,
-    /// Deadline expiries the watchdog turned into cancellations.
-    pub deadline_expired: u64,
-    /// Reclaim passes the headroom probe triggered.
-    pub reclaim_passes: u64,
-    /// Current admission-queue depth (gauge, not a counter).
-    pub queue_depth: u64,
-    /// Deepest the admission queue ever got.
-    pub queue_high_water: u64,
-    /// Allocation events (`droidsim_kernel::alloc_track`) observed since
-    /// daemon start. Wall-clock-class telemetry: excluded from the
-    /// deterministic fingerprint, surfaced for `bench_gate`-style tools.
-    pub alloc_events: u64,
-    /// Times the daemon entered the `degraded` health state because the
-    /// journal stopped accepting writes. Environment-dependent (a real
-    /// or injected I/O fault), so fingerprint-excluded like
-    /// `alloc_events`.
-    pub degraded_entries: u64,
-    /// Journal write/fsync failures observed (real or injected).
-    /// Fingerprint-excluded.
-    pub journal_faults: u64,
-    /// Submissions answered `result=duplicate` because their
-    /// `dedupe_key` matched an already-accepted job. Fingerprint-
-    /// excluded: a retry schedule is timing, not admission order.
-    pub dedupe_hits: u64,
-    /// Connections refused by the concurrent-connection cap with
-    /// `error=too-many-connections`. Fingerprint-excluded.
-    pub conns_rejected: u64,
-    /// Connections closed by the per-connection read timeout (slowloris
-    /// defense). Fingerprint-excluded.
-    pub slowloris_closed: u64,
+ledger! {
+    /// Lifetime counters and gauges for one `droidsimd` process.
+    ///
+    /// The `det` entries are determined by the admission sequence:
+    /// identical across runs replaying it. The queue gauges, the
+    /// allocation counter and the chaos-edge counters depend on fault
+    /// timing and client behavior, like the fleet ledger's wall-clock
+    /// entries, so they are `diag`.
+    pub struct DaemonLedger as "daemon" {
+        /// Jobs acknowledged: journaled, then answered `accepted`.
+        pub det accepted: u64,
+        /// Submissions answered `rejected` (queue full, shutdown, bad spec,
+        /// or an injected admission fault) — never silently dropped.
+        pub det rejected: u64,
+        /// Of the rejected, how many were injected admission faults.
+        pub det rejected_injected: u64,
+        /// Accepted jobs the shedder dropped under queue/memory pressure,
+        /// each with an explicit terminal `shed` state a waiter observes.
+        pub det shed: u64,
+        /// Accepted jobs re-enqueued by a restart's journal resume pass.
+        pub det resumed: u64,
+        /// Jobs that ran to completion with a digest.
+        pub det completed: u64,
+        /// Jobs whose execution failed (quarantined tasks, executor panic).
+        pub det failed: u64,
+        /// Jobs cancelled by a client or a blown deadline.
+        pub det cancelled: u64,
+        /// Deadline expiries the watchdog turned into cancellations.
+        pub det deadline_expired: u64,
+        /// Reclaim passes the headroom probe triggered.
+        pub det reclaim_passes: u64,
+        /// Current admission-queue depth (gauge, not a counter).
+        pub diag queue_depth: Gauge,
+        /// Deepest the admission queue ever got.
+        pub diag queue_high_water: HighWater,
+        /// Allocation events (`droidsim_kernel::alloc_track`) observed since
+        /// daemon start. Wall-clock-class telemetry: excluded from the
+        /// deterministic fingerprint, surfaced for `bench_gate`-style tools.
+        pub diag alloc_events: u64,
+        /// Times the daemon entered the `degraded` health state because the
+        /// journal stopped accepting writes. Environment-dependent (a real
+        /// or injected I/O fault), so fingerprint-excluded like
+        /// `alloc_events`.
+        pub diag degraded_entries: u64,
+        /// Journal write/fsync failures observed (real or injected).
+        /// Fingerprint-excluded.
+        pub diag journal_faults: u64,
+        /// Submissions answered `result=duplicate` because their
+        /// `dedupe_key` matched an already-accepted job. Fingerprint-
+        /// excluded: a retry schedule is timing, not admission order.
+        pub diag dedupe_hits: u64,
+        /// Connections refused by the concurrent-connection cap with
+        /// `error=too-many-connections`. Fingerprint-excluded.
+        pub diag conns_rejected: u64,
+        /// Connections closed by the per-connection read timeout (slowloris
+        /// defense). Fingerprint-excluded.
+        pub diag slowloris_closed: u64,
+    }
 }
 
 impl DaemonLedger {
-    /// Fresh, all-zero ledger.
-    pub fn new() -> DaemonLedger {
-        DaemonLedger::default()
-    }
-
     /// Jobs that reached a terminal state.
     pub fn settled(&self) -> u64 {
         self.completed + self.failed + self.cancelled + self.shed
@@ -89,95 +91,8 @@ impl DaemonLedger {
     /// Records a queue-depth observation, maintaining the high-water
     /// mark.
     pub fn observe_queue_depth(&mut self, depth: u64) {
-        self.queue_depth = depth;
-        self.queue_high_water = self.queue_high_water.max(depth);
-    }
-
-    /// Folds another ledger into this one (e.g. a restarted daemon
-    /// folding the pre-crash ledger recovered from its journal). Gauges
-    /// keep `other`'s value only for the high-water mark.
-    pub fn merge(&mut self, other: &DaemonLedger) {
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.rejected_injected += other.rejected_injected;
-        self.shed += other.shed;
-        self.resumed += other.resumed;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.cancelled += other.cancelled;
-        self.deadline_expired += other.deadline_expired;
-        self.reclaim_passes += other.reclaim_passes;
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-        self.alloc_events += other.alloc_events;
-        self.degraded_entries += other.degraded_entries;
-        self.journal_faults += other.journal_faults;
-        self.dedupe_hits += other.dedupe_hits;
-        self.conns_rejected += other.conns_rejected;
-        self.slowloris_closed += other.slowloris_closed;
-    }
-
-    /// The admission-sequence-determined part of the ledger: everything
-    /// except the live queue-depth gauge, the allocation counter, and
-    /// the chaos-edge counters (degraded entries, journal faults,
-    /// dedupe hits, connection rejections, slowloris closes) — those
-    /// depend on fault timing and client behavior, like the fleet
-    /// ledger's wall-clock fields. Identical across runs replaying the
-    /// same admission sequence.
-    pub fn deterministic_fingerprint(&self) -> String {
-        format!(
-            "daemon[accepted={} rejected={} rejected_injected={} shed={} resumed={} \
-             completed={} failed={} cancelled={} deadline_expired={} reclaim_passes={}]",
-            self.accepted,
-            self.rejected,
-            self.rejected_injected,
-            self.shed,
-            self.resumed,
-            self.completed,
-            self.failed,
-            self.cancelled,
-            self.deadline_expired,
-            self.reclaim_passes,
-        )
-    }
-
-    /// The `stats`-endpoint fields as `(key, value)` pairs, in a fixed
-    /// order, ready for one kv journal line. Includes the telemetry the
-    /// fingerprint excludes (queue gauges, allocation events).
-    pub fn kv_fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("accepted", self.accepted.to_string()),
-            ("rejected", self.rejected.to_string()),
-            ("rejected_injected", self.rejected_injected.to_string()),
-            ("shed", self.shed.to_string()),
-            ("resumed", self.resumed.to_string()),
-            ("completed", self.completed.to_string()),
-            ("failed", self.failed.to_string()),
-            ("cancelled", self.cancelled.to_string()),
-            ("deadline_expired", self.deadline_expired.to_string()),
-            ("reclaim_passes", self.reclaim_passes.to_string()),
-            ("in_flight", self.in_flight().to_string()),
-            ("queue_depth", self.queue_depth.to_string()),
-            ("queue_high_water", self.queue_high_water.to_string()),
-            ("alloc_events", self.alloc_events.to_string()),
-            ("degraded_entries", self.degraded_entries.to_string()),
-            ("journal_faults", self.journal_faults.to_string()),
-            ("dedupe_hits", self.dedupe_hits.to_string()),
-            ("conns_rejected", self.conns_rejected.to_string()),
-            ("slowloris_closed", self.slowloris_closed.to_string()),
-        ]
-    }
-}
-
-impl fmt::Display for DaemonLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} queue[depth={} high_water={}] allocs={}",
-            self.deterministic_fingerprint(),
-            self.queue_depth,
-            self.queue_high_water,
-            self.alloc_events
-        )
+        self.queue_depth = Gauge(depth);
+        self.queue_high_water.0 = self.queue_high_water.0.max(depth);
     }
 }
 
@@ -204,10 +119,10 @@ mod tests {
         l.observe_queue_depth(3);
         l.observe_queue_depth(7);
         l.observe_queue_depth(2);
-        assert_eq!(l.queue_depth, 2);
-        assert_eq!(l.queue_high_water, 7);
+        assert_eq!(l.queue_depth, Gauge(2));
+        assert_eq!(l.queue_high_water, HighWater(7));
         let line = l.to_string();
-        assert!(line.contains("high_water=7"), "got {line}");
+        assert!(line.contains("queue_high_water=7"), "got {line}");
     }
 
     #[test]
@@ -233,7 +148,7 @@ mod tests {
         let mut a = DaemonLedger {
             accepted: 3,
             completed: 2,
-            queue_high_water: 5,
+            queue_high_water: HighWater(5),
             alloc_events: 10,
             ..DaemonLedger::new()
         };
@@ -242,7 +157,7 @@ mod tests {
             rejected: 2,
             shed: 1,
             resumed: 3,
-            queue_high_water: 2,
+            queue_high_water: HighWater(2),
             alloc_events: 5,
             degraded_entries: 1,
             journal_faults: 4,
@@ -255,7 +170,7 @@ mod tests {
         assert_eq!(a.accepted, 7);
         assert_eq!(a.rejected, 2);
         assert_eq!(a.resumed, 3);
-        assert_eq!(a.queue_high_water, 5);
+        assert_eq!(a.queue_high_water, HighWater(5));
         assert_eq!(a.alloc_events, 15);
         assert_eq!(a.degraded_entries, 1);
         assert_eq!(a.journal_faults, 4);

@@ -17,31 +17,29 @@
 //! the cost of degrading lands in the perf trajectory next to the happy
 //! path's flush latencies.
 
-use core::fmt;
 use std::collections::BTreeMap;
 
+use crate::registry::ledger;
 use crate::stats::Histogram;
 
-/// Lifetime fault counters for one handler.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultMetrics {
-    by_site: BTreeMap<String, u64>,
-    /// Rung 1: faults contained by skipping a single view.
-    pub contained_per_view: u64,
-    /// Rung 2: changes degraded to the stock restart path.
-    pub fallback_restarts: u64,
-    /// Rung 3: faults that killed the process.
-    pub crashes: u64,
-    /// Wall-clock latency of each fallback recovery, in milliseconds.
-    pub recovery_latency_ms: Histogram,
+ledger! {
+    /// Lifetime fault counters for one handler. Which faults strike, and
+    /// which rung absorbs them, is seeded, so the counters are `det`; the
+    /// recovery latency is host wall clock, so it is `diag`.
+    pub struct FaultMetrics as "faults" {
+        det by_site: BTreeMap<String, u64>,
+        /// Rung 1: faults contained by skipping a single view.
+        pub det contained_per_view: u64,
+        /// Rung 2: changes degraded to the stock restart path.
+        pub det fallback_restarts: u64,
+        /// Rung 3: faults that killed the process.
+        pub det crashes: u64,
+        /// Wall-clock latency of each fallback recovery, in milliseconds.
+        pub diag recovery_latency_ms: Histogram,
+    }
 }
 
 impl FaultMetrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> FaultMetrics {
-        FaultMetrics::default()
-    }
-
     /// Records a rung-1 containment at `site`.
     pub fn record_contained(&mut self, site: &str) {
         *self.by_site.entry(site.to_owned()).or_insert(0) += 1;
@@ -75,31 +73,6 @@ impl FaultMetrics {
     /// Total faults recorded across every site and rung.
     pub fn total_faults(&self) -> u64 {
         self.contained_per_view + self.fallback_restarts + self.crashes
-    }
-
-    /// Folds another handler's metrics into this one.
-    pub fn merge(&mut self, other: &FaultMetrics) {
-        for (site, count) in &other.by_site {
-            *self.by_site.entry(site.clone()).or_insert(0) += count;
-        }
-        self.contained_per_view += other.contained_per_view;
-        self.fallback_restarts += other.fallback_restarts;
-        self.crashes += other.crashes;
-        self.recovery_latency_ms.merge(&other.recovery_latency_ms);
-    }
-}
-
-impl fmt::Display for FaultMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "faults={} contained={} fallbacks={} crashes={} recovery_ms[{}]",
-            self.total_faults(),
-            self.contained_per_view,
-            self.fallback_restarts,
-            self.crashes,
-            self.recovery_latency_ms
-        )
     }
 }
 
@@ -142,6 +115,6 @@ mod tests {
         let mut m = FaultMetrics::new();
         m.record_fallback("allocation-failure", 2.0);
         let line = m.to_string();
-        assert!(line.contains("fallbacks=1"), "got {line}");
+        assert!(line.contains("fallback_restarts=1"), "got {line}");
     }
 }

@@ -17,6 +17,8 @@
 //! * [`EnergyModel`] — board power; handling bursts are far below the
 //!   power meter's resolution, reproducing the paper's "unchanged 4.03 W".
 //! * [`stats`] — mean/std/min/max summaries used by every harness.
+//! * [`registry`] — the one declaration behind every ledger: each entry
+//!   is `det` (it enters fingerprints) or `diag` (it does not).
 //!
 //! Calibration targets (§6 of DESIGN.md) are asserted by this crate's
 //! tests: Android-10 ≈ 141.8 ms for the 4-view benchmark app, RCHDroid
@@ -32,6 +34,7 @@ pub mod fleet;
 pub mod memo;
 pub mod memory;
 pub mod migration;
+pub mod registry;
 pub mod stats;
 pub mod trace;
 
@@ -41,8 +44,9 @@ pub use daemon::DaemonLedger;
 pub use energy::EnergyModel;
 pub use faults::FaultMetrics;
 pub use fleet::{DeviceMetrics, FleetLedger};
-pub use memo::{MemoCacheStats, MemoLedger};
+pub use memo::MemoLedger;
 pub use memory::{MemoryModel, MemorySnapshot};
 pub use migration::MigrationMetrics;
+pub use registry::{Gauge, HighWater};
 pub use stats::{Histogram, Summary};
 pub use trace::{TracePoint, Tracer};

@@ -14,49 +14,7 @@
 //! cold gates assert exactly that the *digests* stay identical while
 //! these counters swing.
 
-use core::fmt;
 use droidsim_kernel::memo::{self, MemoSnapshot};
-
-/// Per-cache counters for one memo cache, as captured at a point in time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemoCacheStats {
-    /// Cache name (`"resolve"`, `"inflate"`, `"mapping"`).
-    pub name: String,
-    /// Probes answered from the cache.
-    pub hits: u64,
-    /// Probes that fell through to a cold derivation (including the
-    /// first, tombstone-only sighting of a key).
-    pub misses: u64,
-    /// Entries dropped by capacity pressure or a reclaim pass.
-    pub evictions: u64,
-    /// Resident, current-generation entries.
-    pub entries: u64,
-    /// Approximate resident bytes of cached values.
-    pub bytes: u64,
-}
-
-impl MemoCacheStats {
-    fn from_snapshot(s: &MemoSnapshot) -> MemoCacheStats {
-        MemoCacheStats {
-            name: s.name.to_owned(),
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            entries: s.entries,
-            bytes: s.bytes,
-        }
-    }
-
-    /// Hit fraction in `[0, 1]`; zero for an untouched cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// Point-in-time snapshot of every registered memo cache, name-sorted.
 ///
@@ -65,7 +23,7 @@ impl MemoCacheStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoLedger {
     /// One entry per registered cache, sorted by name.
-    pub caches: Vec<MemoCacheStats>,
+    pub caches: Vec<MemoSnapshot>,
 }
 
 impl MemoLedger {
@@ -74,40 +32,27 @@ impl MemoLedger {
     /// an early capture may see fewer caches than a later one.
     pub fn capture() -> MemoLedger {
         MemoLedger {
-            caches: memo::snapshot_all()
-                .iter()
-                .map(MemoCacheStats::from_snapshot)
-                .collect(),
+            caches: memo::snapshot_all(),
         }
     }
 
-    /// Totals across all caches: (hits, misses, evictions, bytes).
-    pub fn totals(&self) -> (u64, u64, u64, u64) {
-        self.caches.iter().fold((0, 0, 0, 0), |acc, c| {
-            (
-                acc.0 + c.hits,
-                acc.1 + c.misses,
-                acc.2 + c.evictions,
-                acc.3 + c.bytes,
-            )
-        })
-    }
-
     /// The `stats`-endpoint fields as `(key, value)` pairs: aggregate
-    /// totals first, then one packed field per cache. Keys are `'static`
-    /// to match the daemon's kv-line contract, so per-cache fields use
-    /// the fixed names of the three warm-path caches; an unknown cache
-    /// folds into the totals only.
+    /// totals first, then one packed `hits/misses/evictions/entries`
+    /// field per cache. Keys are `'static` to match the daemon's kv-line
+    /// contract, so per-cache fields use the fixed names of the three
+    /// warm-path caches; an unknown cache folds into the totals only.
     pub fn kv_fields(&self) -> Vec<(&'static str, String)> {
-        let (hits, misses, evictions, bytes) = self.totals();
+        let sum = |field: fn(&MemoSnapshot) -> u64| -> String {
+            self.caches.iter().map(field).sum::<u64>().to_string()
+        };
         let mut out = vec![
-            ("memo_hits", hits.to_string()),
-            ("memo_misses", misses.to_string()),
-            ("memo_evictions", evictions.to_string()),
-            ("memo_bytes", bytes.to_string()),
+            ("memo_hits", sum(|c| c.hits)),
+            ("memo_misses", sum(|c| c.misses)),
+            ("memo_evictions", sum(|c| c.evictions)),
+            ("memo_bytes", sum(|c| c.bytes)),
         ];
         for cache in &self.caches {
-            let key = match cache.name.as_str() {
+            let key = match cache.name {
                 "resolve" => "memo_resolve",
                 "inflate" => "memo_inflate",
                 "mapping" => "memo_mapping",
@@ -125,74 +70,30 @@ impl MemoLedger {
     }
 }
 
-impl fmt::Display for MemoLedger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.caches.is_empty() {
-            return write!(f, "memo[no caches registered]");
-        }
-        write!(f, "memo[")?;
-        for (i, c) in self.caches.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            write!(
-                f,
-                "{}: hits={} misses={} evictions={} entries={} bytes={}",
-                c.name, c.hits, c.misses, c.evictions, c.entries, c.bytes
-            )?;
-        }
-        write!(f, "]")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> MemoLedger {
-        MemoLedger {
-            caches: vec![
-                MemoCacheStats {
-                    name: "inflate".into(),
-                    hits: 30,
-                    misses: 10,
-                    evictions: 2,
-                    entries: 8,
-                    bytes: 4096,
-                },
-                MemoCacheStats {
-                    name: "mapping".into(),
-                    hits: 5,
-                    misses: 5,
-                    evictions: 0,
-                    entries: 5,
-                    bytes: 640,
-                },
-                MemoCacheStats {
-                    name: "resolve".into(),
-                    hits: 65,
-                    misses: 15,
-                    evictions: 1,
-                    entries: 14,
-                    bytes: 2048,
-                },
-            ],
+    fn cache(name: &'static str, counts: [u64; 5]) -> MemoSnapshot {
+        let [hits, misses, evictions, entries, bytes] = counts;
+        MemoSnapshot {
+            name,
+            hits,
+            misses,
+            evictions,
+            entries,
+            bytes,
         }
     }
 
-    #[test]
-    fn totals_sum_across_caches() {
-        let l = sample();
-        assert_eq!(l.totals(), (100, 30, 3, 6784));
-    }
-
-    #[test]
-    fn hit_rate_handles_untouched_cache() {
-        let untouched = MemoCacheStats::default();
-        assert_eq!(untouched.hit_rate(), 0.0);
-        let l = sample();
-        let inflate = &l.caches[0];
-        assert!((inflate.hit_rate() - 0.75).abs() < 1e-12);
+    fn sample() -> MemoLedger {
+        MemoLedger {
+            caches: vec![
+                cache("inflate", [30, 10, 2, 8, 4096]),
+                cache("mapping", [5, 5, 0, 5, 640]),
+                cache("resolve", [65, 15, 1, 14, 2048]),
+            ],
+        }
     }
 
     #[test]
@@ -202,6 +103,8 @@ mod tests {
         let find = |key: &str| kv.iter().find(|(k, _)| *k == key).unwrap().1.clone();
         assert_eq!(find("memo_hits"), "100");
         assert_eq!(find("memo_misses"), "30");
+        assert_eq!(find("memo_evictions"), "3");
+        assert_eq!(find("memo_bytes"), "6784");
         assert_eq!(find("memo_inflate"), "30/10/2/8");
         assert_eq!(find("memo_resolve"), "65/15/1/14");
         assert_eq!(find("memo_mapping"), "5/5/0/5");
@@ -210,12 +113,7 @@ mod tests {
     #[test]
     fn unknown_cache_folds_into_totals_only() {
         let l = MemoLedger {
-            caches: vec![MemoCacheStats {
-                name: "mystery".into(),
-                hits: 7,
-                misses: 3,
-                ..MemoCacheStats::default()
-            }],
+            caches: vec![cache("mystery", [7, 3, 0, 0, 0])],
         };
         let kv = l.kv_fields();
         assert!(kv.iter().any(|(k, v)| *k == "memo_hits" && v == "7"));
@@ -227,18 +125,9 @@ mod tests {
         // No caches may be registered yet in this test process; either
         // way capture() must not panic and must come back name-sorted.
         let l = MemoLedger::capture();
-        let names: Vec<&str> = l.caches.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = l.caches.iter().map(|c| c.name).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        let _ = l.to_string();
-    }
-
-    #[test]
-    fn display_mentions_every_cache() {
-        let line = sample().to_string();
-        for name in ["resolve", "inflate", "mapping"] {
-            assert!(line.contains(name), "missing {name} in {line}");
-        }
     }
 }

@@ -16,31 +16,29 @@
 //! lifetime; the fig10-style benchmarks and the handler tests read them
 //! back to verify the fast path actually coalesces.
 
-use core::fmt;
-
+use crate::registry::ledger;
 use crate::stats::Histogram;
 
-/// Lifetime counters and distributions for one migration engine.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MigrationMetrics {
-    /// Number of flushes performed (eager single-view drains count too).
-    pub flushes: u64,
-    /// Raw `invalidate()` deliveries observed before coalescing.
-    pub raw_invalidations: u64,
-    /// Coalesced queue entries actually migrated (≤ raw).
-    pub coalesced_entries: u64,
-    /// Per-flush batch size in coalesced entries.
-    pub batch_size: Histogram,
-    /// Per-flush wall-clock latency in nanoseconds.
-    pub flush_latency_ns: Histogram,
+ledger! {
+    /// Lifetime counters and distributions for one migration engine.
+    /// Batching is driven by the simulated invalidation stream, so the
+    /// counters and batch sizes are `det`; the flush latency is host
+    /// wall clock, so it is `diag`.
+    pub struct MigrationMetrics as "migration" {
+        /// Number of flushes performed (eager single-view drains count too).
+        pub det flushes: u64,
+        /// Raw `invalidate()` deliveries observed before coalescing.
+        pub det raw_invalidations: u64,
+        /// Coalesced queue entries actually migrated (≤ raw).
+        pub det coalesced_entries: u64,
+        /// Per-flush batch size in coalesced entries.
+        pub det batch_size: Histogram,
+        /// Per-flush wall-clock latency in nanoseconds.
+        pub diag flush_latency_ns: Histogram,
+    }
 }
 
 impl MigrationMetrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> MigrationMetrics {
-        MigrationMetrics::default()
-    }
-
     /// Records one flush: `raw` invalidations collapsed into `batch`
     /// coalesced entries, drained in `latency_ns` nanoseconds.
     pub fn record_flush(&mut self, batch: usize, raw: usize, latency_ns: u64) {
@@ -64,36 +62,6 @@ impl MigrationMetrics {
             self.raw_invalidations as f64 / self.coalesced_entries as f64
         }
     }
-
-    /// Mean coalesced entries per flush (0 when idle).
-    pub fn mean_batch_size(&self) -> f64 {
-        self.batch_size.mean()
-    }
-
-    /// Folds another engine's metrics into this one (e.g. to aggregate
-    /// across apps in an experiment harness).
-    pub fn merge(&mut self, other: &MigrationMetrics) {
-        self.flushes += other.flushes;
-        self.raw_invalidations += other.raw_invalidations;
-        self.coalesced_entries += other.coalesced_entries;
-        self.batch_size.merge(&other.batch_size);
-        self.flush_latency_ns.merge(&other.flush_latency_ns);
-    }
-}
-
-impl fmt::Display for MigrationMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "flushes={} raw={} coalesced={} ratio={:.2} batch[{}] latency_ns[{}]",
-            self.flushes,
-            self.raw_invalidations,
-            self.coalesced_entries,
-            self.coalesce_ratio(),
-            self.batch_size,
-            self.flush_latency_ns
-        )
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +77,7 @@ mod tests {
         m.record_flush(1, 1, 500);
         assert!((m.coalesce_ratio() - 13.0 / 4.0).abs() < 1e-12);
         assert_eq!(m.flushes, 2);
-        assert!((m.mean_batch_size() - 2.0).abs() < 1e-12);
+        assert!((m.batch_size.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -140,6 +108,9 @@ mod tests {
         let mut m = MigrationMetrics::new();
         m.record_flush(2, 6, 1_500);
         let line = m.to_string();
-        assert!(line.contains("ratio=3.00"), "got {line}");
+        assert!(
+            line.starts_with("migration[flushes=1 raw_invalidations=6 coalesced_entries=2 "),
+            "got {line}"
+        );
     }
 }

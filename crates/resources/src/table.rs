@@ -6,13 +6,12 @@ use crate::qualifiers::Qualifiers;
 use core::fmt;
 use droidsim_config::Configuration;
 use droidsim_kernel::memo::{self, Admission, MemoCache};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 
 /// A resolved resource id (stable per `(table, name)` pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResId(pub u32);
 
 impl fmt::Display for ResId {
@@ -22,7 +21,7 @@ impl fmt::Display for ResId {
 }
 
 /// A resource payload.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum ResourceValue {
     /// A string resource.
     String(String),
@@ -88,7 +87,7 @@ impl fmt::Display for ResourceError {
 
 impl std::error::Error for ResourceError {}
 
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 struct Entry {
     qualifiers: Qualifiers,
     value: ResourceValue,
@@ -178,14 +177,12 @@ fn resolved_view_cache() -> &'static MemoCache<(u64, u64), HashMap<String, u32>>
 ///     .expect("landscape variant");
 /// assert_eq!(layout.root().class, "FrameLayout");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceTable {
     /// Name → variants, each variant list kept sorted by *descending*
     /// qualifier specificity so resolution takes the first match.
     entries: BTreeMap<String, Vec<Entry>>,
-    /// Lazily-computed content fingerprint (see [`TableFingerprint`]);
-    /// skipped on the wire and recomputed on demand after deserialization.
-    #[serde(skip)]
+    /// Lazily-computed content fingerprint (see [`TableFingerprint`]).
     fingerprint: TableFingerprint,
 }
 

@@ -1,7 +1,6 @@
 //! Per-view attributes: the migratable "essence" of a view.
 
 use droidsim_bundle::Bundle;
-use serde::{Deserialize, Serialize};
 
 /// A view's attribute set.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// (text, drawable, selector position, checked items, video URI, progress)
 /// plus scroll offset and checked state, which Android's view hierarchy
 /// state saves. Fields irrelevant to a given view kind simply stay `None`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ViewAttrs {
     /// Displayed or entered text (TextView family).
     pub text: Option<String>,

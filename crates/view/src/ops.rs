@@ -7,10 +7,9 @@
 //! migration intercepts.
 
 use crate::kind::MigrationClass;
-use serde::{Deserialize, Serialize};
 
 /// A single mutation of one view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ViewOp {
     /// Set displayed text (TextView family).
     SetText(String),
@@ -98,7 +97,7 @@ impl ViewOp {
 /// is what lets the batched migration path coalesce a burst of updates
 /// into a single essence copy while still reporting exactly which
 /// attributes changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DirtyMask(u16);
 
 impl DirtyMask {

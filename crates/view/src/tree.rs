@@ -24,7 +24,6 @@ use crate::kind::ViewKind;
 use crate::ops::{DirtyMask, ViewOp};
 use droidsim_bundle::Bundle;
 use droidsim_kernel::{alloc_track, Symbol};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -63,7 +62,7 @@ droidsim_kernel::define_id! {
 }
 
 /// One view in the arena.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewNode {
     /// Instance id within the tree.
     pub id: ViewId,
@@ -121,7 +120,7 @@ impl ViewNode {
 /// let state = tree.save_hierarchy_state();
 /// assert!(state.bundle("view:name").is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewTree {
     nodes: Vec<Option<ViewNode>>,
     root: ViewId,

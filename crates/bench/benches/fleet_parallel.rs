@@ -183,9 +183,10 @@ fn memo_template(tag: u64) -> LayoutTemplate {
 }
 
 /// One device of the warm-path workload: inflate the template twice
-/// (shadow + sunny instance), resolve through the table, build the
-/// essence mapping between them — exactly the three memoized
-/// derivations — and digest everything observable.
+/// (shadow + sunny instance), resolving through the table — the two
+/// memoized derivations — then build the essence mapping between them
+/// (never cached: it is just the trees' peer pointers) and digest
+/// everything observable.
 fn memo_device(index: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
     let config = if index.is_multiple_of(2) {
         Configuration::phone_portrait()
@@ -228,10 +229,7 @@ fn memo_fleet(template: &LayoutTemplate, table: &ResourceTable) -> u64 {
 /// key is ever probed more than the one shadow + sunny pair that owns
 /// it. This is the admission policy's worst case on purpose — under the
 /// inflater's three-touch admission both touches are tombstones (key
-/// digest only, both inflates build cold, nothing is published). Only the
-/// attribute content varies: the id structure is shared, so the mapping
-/// plan is still content-addressed to the same shape — that hit is the
-/// design working, not a leak in the workload.
+/// digest only, both inflates build cold, nothing is published).
 fn memo_fleet_unique(nonce: &AtomicU64, table: &ResourceTable) -> u64 {
     let templates: Vec<LayoutTemplate> = (0..MEMO_DEVICES)
         .map(|_| memo_template(nonce.fetch_add(1, Ordering::Relaxed)))

@@ -7,7 +7,6 @@
 //! flattening is lossless.
 
 use crate::bundle::{Bundle, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// A flat byte buffer with Android-Parcel-like typed read/write.
 ///
@@ -25,13 +24,14 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// ```
 #[derive(Debug, Default)]
 pub struct Parcel {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
-/// A reader over a finished parcel.
+/// A reader over a finished parcel: the bytes plus a read offset.
 #[derive(Debug)]
 pub struct ParcelReader {
-    buf: Bytes,
+    buf: Vec<u8>,
+    pos: usize,
 }
 
 /// Error produced when reading a malformed parcel.
@@ -74,56 +74,60 @@ impl Parcel {
         self.buf.is_empty()
     }
 
+    fn put_u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Writes a string (length-prefixed UTF-8).
     pub fn write_str(&mut self, s: &str) {
-        self.buf.put_u32_le(s.len() as u32);
-        self.buf.put_slice(s.as_bytes());
+        self.put_u32(s.len() as u32);
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Writes a single value with its type tag.
     pub fn write_value(&mut self, value: &Value) {
         match value {
             Value::Bool(v) => {
-                self.buf.put_u8(TAG_BOOL);
-                self.buf.put_u8(u8::from(*v));
+                self.buf.push(TAG_BOOL);
+                self.buf.push(u8::from(*v));
             }
             Value::I32(v) => {
-                self.buf.put_u8(TAG_I32);
-                self.buf.put_i32_le(*v);
+                self.buf.push(TAG_I32);
+                self.buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::I64(v) => {
-                self.buf.put_u8(TAG_I64);
-                self.buf.put_i64_le(*v);
+                self.buf.push(TAG_I64);
+                self.buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::F64(v) => {
-                self.buf.put_u8(TAG_F64);
-                self.buf.put_f64_le(*v);
+                self.buf.push(TAG_F64);
+                self.buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::Str(v) => {
-                self.buf.put_u8(TAG_STR);
+                self.buf.push(TAG_STR);
                 self.write_str(v);
             }
             Value::Blob(v) => {
-                self.buf.put_u8(TAG_BLOB);
-                self.buf.put_u32_le(v.len() as u32);
-                self.buf.put_slice(v);
+                self.buf.push(TAG_BLOB);
+                self.put_u32(v.len() as u32);
+                self.buf.extend_from_slice(v);
             }
             Value::I32List(v) => {
-                self.buf.put_u8(TAG_I32LIST);
-                self.buf.put_u32_le(v.len() as u32);
+                self.buf.push(TAG_I32LIST);
+                self.put_u32(v.len() as u32);
                 for item in v {
-                    self.buf.put_i32_le(*item);
+                    self.buf.extend_from_slice(&item.to_le_bytes());
                 }
             }
             Value::StrList(v) => {
-                self.buf.put_u8(TAG_STRLIST);
-                self.buf.put_u32_le(v.len() as u32);
+                self.buf.push(TAG_STRLIST);
+                self.put_u32(v.len() as u32);
                 for item in v {
                     self.write_str(item);
                 }
             }
             Value::Nested(v) => {
-                self.buf.put_u8(TAG_BUNDLE);
+                self.buf.push(TAG_BUNDLE);
                 self.write_bundle(v);
             }
         }
@@ -131,7 +135,7 @@ impl Parcel {
 
     /// Writes a whole bundle (entry count, then sorted key/value pairs).
     pub fn write_bundle(&mut self, bundle: &Bundle) {
-        self.buf.put_u32_le(bundle.len() as u32);
+        self.put_u32(bundle.len() as u32);
         for (key, value) in bundle.iter() {
             self.write_str(key);
             self.write_value(value);
@@ -140,14 +144,12 @@ impl Parcel {
 
     /// Finishes writing and returns a reader over the bytes.
     pub fn into_reader(self) -> ParcelReader {
-        ParcelReader {
-            buf: self.buf.freeze(),
-        }
+        ParcelReader::from_bytes(self.buf)
     }
 
     /// Finishes writing and returns the raw bytes (binder wire format).
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.freeze().to_vec()
+        self.buf
     }
 }
 
@@ -155,67 +157,88 @@ impl ParcelReader {
     /// Creates a reader over raw bytes previously produced by
     /// [`Parcel::into_bytes`] (or received "over the wire").
     pub fn from_bytes(bytes: Vec<u8>) -> ParcelReader {
-        ParcelReader {
-            buf: Bytes::from(bytes),
-        }
+        ParcelReader { buf: bytes, pos: 0 }
     }
 }
 
 impl ParcelReader {
     fn need(&self, n: usize, what: &'static str) -> Result<(), ParcelError> {
-        if self.buf.remaining() < n {
+        if self.remaining() < n {
             Err(ParcelError { what })
         } else {
             Ok(())
         }
     }
 
+    /// Consumes the next `n` bytes; callers check [`Self::need`] first.
+    fn take(&mut self, n: usize) -> &[u8] {
+        let bytes = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        bytes
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> [u8; N] {
+        self.take(N).try_into().expect("take returns N bytes")
+    }
+
+    fn get_u8(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(self.take_array())
+    }
+
+    fn get_i32_le(&mut self) -> i32 {
+        i32::from_le_bytes(self.take_array())
+    }
+
     /// Reads a length-prefixed string.
     pub fn read_str(&mut self) -> Result<String, ParcelError> {
         self.need(4, "string length")?;
-        let len = self.buf.get_u32_le() as usize;
+        let len = self.get_u32_le() as usize;
         self.need(len, "string bytes")?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec()).map_err(|_| ParcelError { what: "utf-8" })
+        String::from_utf8(self.take(len).to_vec()).map_err(|_| ParcelError { what: "utf-8" })
     }
 
     /// Reads one tagged value.
     pub fn read_value(&mut self) -> Result<Value, ParcelError> {
         self.need(1, "value tag")?;
-        let tag = self.buf.get_u8();
+        let tag = self.get_u8();
         Ok(match tag {
             TAG_BOOL => {
                 self.need(1, "bool")?;
-                Value::Bool(self.buf.get_u8() != 0)
+                Value::Bool(self.get_u8() != 0)
             }
             TAG_I32 => {
                 self.need(4, "i32")?;
-                Value::I32(self.buf.get_i32_le())
+                Value::I32(self.get_i32_le())
             }
             TAG_I64 => {
                 self.need(8, "i64")?;
-                Value::I64(self.buf.get_i64_le())
+                Value::I64(i64::from_le_bytes(self.take_array()))
             }
             TAG_F64 => {
                 self.need(8, "f64")?;
-                Value::F64(self.buf.get_f64_le())
+                Value::F64(f64::from_le_bytes(self.take_array()))
             }
             TAG_STR => Value::Str(self.read_str()?),
             TAG_BLOB => {
                 self.need(4, "blob length")?;
-                let len = self.buf.get_u32_le() as usize;
+                let len = self.get_u32_le() as usize;
                 self.need(len, "blob bytes")?;
-                Value::Blob(self.buf.copy_to_bytes(len).to_vec())
+                Value::Blob(self.take(len).to_vec())
             }
             TAG_I32LIST => {
                 self.need(4, "list length")?;
-                let len = self.buf.get_u32_le() as usize;
+                let len = self.get_u32_le() as usize;
                 self.need(len * 4, "list items")?;
-                Value::I32List((0..len).map(|_| self.buf.get_i32_le()).collect())
+                Value::I32List((0..len).map(|_| self.get_i32_le()).collect())
             }
             TAG_STRLIST => {
                 self.need(4, "list length")?;
-                let len = self.buf.get_u32_le() as usize;
+                let len = self.get_u32_le() as usize;
                 let mut items = Vec::with_capacity(len.min(1024));
                 for _ in 0..len {
                     items.push(self.read_str()?);
@@ -234,7 +257,7 @@ impl ParcelReader {
     /// Reads a whole bundle.
     pub fn read_bundle(&mut self) -> Result<Bundle, ParcelError> {
         self.need(4, "bundle length")?;
-        let len = self.buf.get_u32_le() as usize;
+        let len = self.get_u32_le() as usize;
         let mut entries = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
             let key = self.read_str()?;
@@ -246,7 +269,7 @@ impl ParcelReader {
 
     /// Unread bytes remaining.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 }
 
@@ -290,23 +313,43 @@ mod tests {
     }
 
     #[test]
+    fn wire_format_is_tagged_little_endian() {
+        let mut b = Bundle::new();
+        b.put_bool("b", true);
+        b.put_i32("i", -2);
+        b.put_i64("l", 1 << 40);
+        b.put_f64("f", 0.75);
+        let mut parcel = Parcel::new();
+        parcel.write_bundle(&b);
+        #[rustfmt::skip]
+        let want: Vec<u8> = vec![
+            4, 0, 0, 0, // entry count
+            1, 0, 0, 0, b'b', TAG_BOOL, 1,
+            1, 0, 0, 0, b'f', TAG_F64, 0, 0, 0, 0, 0, 0, 0xe8, 0x3f,
+            1, 0, 0, 0, b'i', TAG_I32, 0xfe, 0xff, 0xff, 0xff,
+            1, 0, 0, 0, b'l', TAG_I64, 0, 0, 0, 0, 0, 1, 0, 0,
+        ];
+        assert_eq!(parcel.into_bytes(), want);
+    }
+
+    #[test]
     fn truncated_parcel_errors() {
         let mut parcel = Parcel::new();
         parcel.write_bundle(&sample_bundle());
-        let reader = parcel.into_reader();
-        let bytes = reader.buf.slice(0..reader.buf.len() / 2);
-        let mut truncated = ParcelReader { buf: bytes };
+        let mut bytes = parcel.into_bytes();
+        bytes.truncate(bytes.len() / 2);
+        let mut truncated = ParcelReader::from_bytes(bytes);
         assert!(truncated.read_bundle().is_err());
     }
 
     #[test]
     fn unknown_tag_errors() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(1); // one entry
-        buf.put_u32_le(1); // key length
-        buf.put_slice(b"k");
-        buf.put_u8(99); // bogus tag
-        let mut reader = ParcelReader { buf: buf.freeze() };
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1u32.to_le_bytes()); // one entry
+        buf.extend_from_slice(&1u32.to_le_bytes()); // key length
+        buf.extend_from_slice(b"k");
+        buf.push(99); // bogus tag
+        let mut reader = ParcelReader::from_bytes(buf);
         let err = reader.read_bundle().unwrap_err();
         assert_eq!(err.to_string(), "malformed parcel: unknown tag");
     }

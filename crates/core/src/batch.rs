@@ -1,5 +1,4 @@
-//! Batched lazy migration: flush policy, coalescing dirty queue, and the
-//! sharded essence map.
+//! Batched lazy migration: flush policy and coalescing dirty queue.
 //!
 //! The paper's lazy migration (§3.3) copies essence on *every* drained
 //! `invalidate()`. For chatty async callbacks — a progress bar ticking
@@ -11,14 +10,13 @@
 //!    view id; repeat invalidations of a queued view OR their
 //!    [`DirtyMask`]s into the existing entry (last-write-wins per
 //!    attribute, since the essence copy always reads the *current* shadow
-//!    attributes),
+//!    attributes) and move it to the back of the queue,
 //! 2. the queue drains as one batch when the [`FlushPolicy`] fires —
 //!    either the coalesced entry count reached `max_pending` or the
 //!    oldest entry has waited `max_delay` of virtual time,
-//! 3. at flush, each entry's shadow→sunny peer is resolved through a
-//!    [`ShardedEssenceMap`] — the essence mapping held in N independent
-//!    shards keyed by view id instead of one monolithic hash table, so a
-//!    flush touches only the shards its batch hashes into.
+//! 3. at flush, each entry's shadow→sunny peer is resolved through the
+//!    shadow view's sunny-peer pointer — the same essence mapping the
+//!    eager path reads.
 //!
 //! [`FlushPolicy::Eager`] (the default) queues and immediately flushes
 //! every delivery, which is bit-for-bit the paper's behaviour — batching
@@ -75,16 +73,23 @@ pub struct DirtyEntry {
     pub first_enqueued_at: SimTime,
 }
 
-/// An order-preserving, coalescing queue of pending migrations.
+/// A coalescing queue of pending migrations.
 ///
-/// First-invalidation order is preserved; re-invalidating a queued view
-/// updates its entry in place. Deadlines ride on the kernel's
-/// deterministic [`EventQueue`] (one event per *entry*, scheduled at its
-/// creation time), so "oldest pending entry" is a `peek`, not a scan.
+/// Entries drain in last-invalidation order: re-invalidating a queued
+/// view updates its entry and moves it to the back. That is the order in
+/// which eager migration last copies each view, so when several shadow
+/// views share one sunny peer (a repeated id name) a batched flush leaves
+/// the peer exactly as eager migration would. Deadlines ride on the
+/// kernel's deterministic [`EventQueue`] (one event per *entry*,
+/// scheduled at its creation time), so "oldest pending entry" is a
+/// `peek`, not a scan.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyQueue {
-    order: Vec<ViewId>,
-    entries: HashMap<ViewId, DirtyEntry>,
+    /// Drain order, one slot per enqueue that created or moved an entry;
+    /// a moved entry's older slot is vacated.
+    order: Vec<Option<ViewId>>,
+    /// Each pending entry with the index of its live slot in `order`.
+    entries: HashMap<ViewId, (usize, DirtyEntry)>,
     deadlines: EventQueue<ViewId>,
 }
 
@@ -97,20 +102,26 @@ impl DirtyQueue {
     /// Records one drained invalidation. Returns `true` if it coalesced
     /// into an existing entry (no new migration work was added).
     pub fn enqueue(&mut self, view: ViewId, mask: DirtyMask, raw: usize, now: SimTime) -> bool {
-        if let Some(entry) = self.entries.get_mut(&view) {
+        let slot = self.order.len();
+        self.order.push(Some(view));
+        if let Some((at, entry)) = self.entries.get_mut(&view) {
             entry.mask |= mask;
             entry.raw += raw;
+            self.order[*at] = None;
+            *at = slot;
             true
         } else {
-            self.order.push(view);
             self.entries.insert(
                 view,
-                DirtyEntry {
-                    view,
-                    mask,
-                    raw,
-                    first_enqueued_at: now,
-                },
+                (
+                    slot,
+                    DirtyEntry {
+                        view,
+                        mask,
+                        raw,
+                        first_enqueued_at: now,
+                    },
+                ),
             );
             self.deadlines.schedule(now, view);
             false
@@ -119,17 +130,17 @@ impl DirtyQueue {
 
     /// Coalesced entries pending.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
     }
 
     /// Raw invalidations absorbed since the last drain.
     pub fn raw_pending(&self) -> usize {
-        self.entries.values().map(|e| e.raw).sum()
+        self.entries.values().map(|(_, e)| e.raw).sum()
     }
 
     /// Creation time of the oldest pending entry.
@@ -143,15 +154,15 @@ impl DirtyQueue {
             .is_some_and(|first| now.saturating_since(first) >= max_delay)
     }
 
-    /// Drains every pending entry in first-invalidation order.
+    /// Drains every pending entry in last-invalidation order.
     pub fn drain(&mut self) -> Vec<DirtyEntry> {
         droidsim_kernel::alloc_track::note(1);
-        let mut drained = Vec::with_capacity(self.order.len());
+        let mut drained = Vec::with_capacity(self.entries.len());
         self.drain_into(&mut drained);
         drained
     }
 
-    /// Drains every pending entry in first-invalidation order into `out`,
+    /// Drains every pending entry in last-invalidation order into `out`,
     /// reusing its capacity. The engine's flush path threads one scratch
     /// buffer through every flush instead of allocating a fresh `Vec`.
     pub fn drain_into(&mut self, out: &mut Vec<DirtyEntry>) {
@@ -160,7 +171,8 @@ impl DirtyQueue {
         out.extend(
             self.order
                 .drain(..)
-                .filter_map(|view| self.entries.remove(&view)),
+                .flatten()
+                .filter_map(|view| self.entries.remove(&view).map(|(_, e)| e)),
         );
         self.deadlines.clear();
     }
@@ -170,80 +182,6 @@ impl DirtyQueue {
         self.order.clear();
         self.entries.clear();
         self.deadlines.clear();
-    }
-}
-
-/// The essence-based shadow↔sunny mapping, split into `N` shards.
-///
-/// The paper stores the coupling in one hash table; here each direction
-/// of the mapping lives in [`ShardedEssenceMap::DEFAULT_SHARDS`]
-/// independent shards selected by `view_id % N`. A flush therefore only
-/// touches the shards its batch hashes into — the structural prerequisite
-/// for per-shard locking if migration ever moves off the UI thread — and
-/// shard occupancy is directly inspectable for balance metrics.
-#[derive(Debug, Clone)]
-pub struct ShardedEssenceMap {
-    shards: Vec<HashMap<ViewId, ViewId>>,
-}
-
-impl Default for ShardedEssenceMap {
-    fn default() -> Self {
-        ShardedEssenceMap::new(ShardedEssenceMap::DEFAULT_SHARDS)
-    }
-}
-
-impl ShardedEssenceMap {
-    /// Default shard count: enough to spread any realistic activity tree
-    /// (the paper's benchmark app tops out at dozens of views).
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// Creates an empty map with `shards` shards (clamped to ≥ 1).
-    pub fn new(shards: usize) -> ShardedEssenceMap {
-        ShardedEssenceMap {
-            shards: vec![HashMap::new(); shards.max(1)],
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, view: ViewId) -> usize {
-        (view.raw() % self.shards.len() as u64) as usize
-    }
-
-    /// Records `from → to`.
-    pub fn insert(&mut self, from: ViewId, to: ViewId) {
-        let shard = self.shard_of(from);
-        self.shards[shard].insert(from, to);
-    }
-
-    /// Resolves a peer.
-    pub fn get(&self, from: ViewId) -> Option<ViewId> {
-        self.shards[self.shard_of(from)].get(&from).copied()
-    }
-
-    /// Total mapped views across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
-    }
-
-    /// Whether no view is mapped.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HashMap::is_empty)
-    }
-
-    /// Entries in shard `i` (balance inspection).
-    pub fn shard_len(&self, i: usize) -> usize {
-        self.shards[i].len()
-    }
-
-    /// Removes every mapping, keeping the shard count.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
     }
 }
 
@@ -277,18 +215,18 @@ mod tests {
         let t0 = SimTime::from_millis(10);
         assert!(!q.enqueue(v(1), DirtyMask::TEXT, 1, t0));
         assert!(!q.enqueue(v(2), DirtyMask::PROGRESS, 1, t0));
-        // Re-invalidation coalesces: mask ORs, raw accumulates, order and
-        // first_enqueued_at stay put.
+        // Re-invalidation coalesces: mask ORs, raw accumulates,
+        // first_enqueued_at stays put and the entry moves to the back.
         assert!(q.enqueue(v(1), DirtyMask::SCROLL, 2, SimTime::from_millis(30)));
         assert_eq!(q.len(), 2);
         assert_eq!(q.raw_pending(), 4);
         let drained = q.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].view, v(1));
-        assert_eq!(drained[0].mask, DirtyMask::TEXT | DirtyMask::SCROLL);
-        assert_eq!(drained[0].raw, 3);
-        assert_eq!(drained[0].first_enqueued_at, t0);
-        assert_eq!(drained[1].view, v(2));
+        assert_eq!(drained[0].view, v(2));
+        assert_eq!(drained[1].view, v(1));
+        assert_eq!(drained[1].mask, DirtyMask::TEXT | DirtyMask::SCROLL);
+        assert_eq!(drained[1].raw, 3);
+        assert_eq!(drained[1].first_enqueued_at, t0);
         assert!(q.is_empty());
     }
 
@@ -304,38 +242,5 @@ mod tests {
         assert!(q.deadline_due(SimTime::from_millis(26), delay));
         q.drain();
         assert_eq!(q.oldest_enqueued_at(), None);
-    }
-
-    #[test]
-    fn sharded_map_resolves_and_spreads() {
-        let mut m = ShardedEssenceMap::new(4);
-        for i in 0..16u64 {
-            m.insert(v(i), v(100 + i));
-        }
-        assert_eq!(m.len(), 16);
-        assert_eq!(m.get(v(7)), Some(v(107)));
-        assert_eq!(m.get(v(40)), None);
-        // Sequential ids spread evenly over `id % 4`.
-        for shard in 0..4 {
-            assert_eq!(m.shard_len(shard), 4);
-        }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.shard_count(), 4);
-    }
-
-    #[test]
-    fn sharded_map_clamps_zero_shards() {
-        let m = ShardedEssenceMap::new(0);
-        assert_eq!(m.shard_count(), 1);
-    }
-
-    #[test]
-    fn insert_overwrites_stale_peer() {
-        let mut m = ShardedEssenceMap::default();
-        m.insert(v(3), v(10));
-        m.insert(v(3), v(11));
-        assert_eq!(m.get(v(3)), Some(v(11)));
-        assert_eq!(m.len(), 1);
     }
 }

@@ -61,7 +61,7 @@ pub mod migration;
 pub mod patch;
 pub mod supervise;
 
-pub use batch::{DirtyEntry, DirtyQueue, FlushPolicy, ShardedEssenceMap};
+pub use batch::{DirtyEntry, DirtyQueue, FlushPolicy};
 pub use gc::{GcDecision, GcPolicy, ShadowAgeTracker};
 pub use handler::{AsyncDelivery, ChangeKind, ChangeOutcome, HandlerError, RchDroid, RchOptions};
 pub use migration::{migrate_view, MigrationEngine, MigrationReport};

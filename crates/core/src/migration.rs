@@ -4,83 +4,30 @@
 //! callback does internally, its effect always ends as attribute updates
 //! on views, funnelled through the generic `invalidate` step. RCHDroid
 //! therefore (a) builds, once per coupling, a mapping between the shadow
-//! and sunny trees keyed by view id, and (b) copies the *essence* of an
-//! invalidated shadow view to its sunny peer with a per-type policy
-//! (Table 1).
+//! and sunny trees keyed by view id, stored only as each view's
+//! sunny-peer pointer (the paper's "sunny view pointer"), and (b) copies
+//! the *essence* of an invalidated shadow view to its sunny peer with a
+//! per-type policy (Table 1).
 //!
-//! Two paths do the copying:
+//! Two paths do the copying, both resolving peers through those pointers:
 //!
 //! * **eager** ([`FlushPolicy::Eager`], the default): every drained
 //!   invalidation migrates immediately — the paper's behaviour,
 //! * **batched** ([`FlushPolicy::Batched`]): drained invalidations land
-//!   in a coalescing [`DirtyQueue`] and migrate
-//!   as one batch when a count or deadline trigger fires; peers resolve
-//!   through the engine's [`ShardedEssenceMap`]. Because the essence copy
-//!   reads the *current* shadow attributes, flushing once after N
-//!   invalidations produces the same sunny tree as migrating each one
-//!   eagerly — a debug-mode checker replays the eager path on a clone and
-//!   asserts exactly that after every flush.
+//!   in a coalescing [`DirtyQueue`] and migrate as one batch when a count
+//!   or deadline trigger fires. Because the essence copy reads the
+//!   *current* shadow attributes, flushing once after N invalidations
+//!   produces the same sunny tree as migrating each one eagerly — a
+//!   debug-mode checker replays the eager path on a clone and asserts
+//!   exactly that after every flush.
 
-use crate::batch::{DirtyEntry, DirtyQueue, FlushPolicy, ShardedEssenceMap};
+use crate::batch::{DirtyEntry, DirtyQueue, FlushPolicy};
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_kernel::memo::{self, Admission, MemoCache};
 use droidsim_kernel::SimTime;
 use droidsim_metrics::MigrationMetrics;
 use droidsim_view::{MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Once, OnceLock};
-
-/// A cached essence-mapping plan: the peer pairs [`MigrationEngine::
-/// build_mapping`] derives for one `(shadow shape, sunny shape)` pair.
-/// Pure structure — replaying it against any trees with the same shape
-/// digests reproduces the cold build exactly. Faults inject during plan
-/// *application* (the flush path), never during this derivation, so a
-/// plan never captures or leaks fault state across `FaultPlan`
-/// boundaries.
-struct MappingPlan {
-    /// Shadow view → sunny peer, in shadow pre-order (`len()` is the
-    /// mapped-view count the cold build returns).
-    forward: Vec<(ViewId, ViewId)>,
-    /// Sunny view → shadow peer, in sunny pre-order. Not necessarily the
-    /// inverse of `forward` when duplicate id names shadow each other.
-    reverse: Vec<(ViewId, ViewId)>,
-}
-
-impl MappingPlan {
-    /// Reads the plan back off trees the cold path just mapped.
-    fn extract(shadow: &ViewTree, sunny: &ViewTree) -> Self {
-        let mut forward = Vec::new();
-        shadow.for_each_id(|id| {
-            if let Some(peer) = shadow.view(id).ok().and_then(|n| n.sunny_peer) {
-                forward.push((id, peer));
-            }
-        });
-        let mut reverse = Vec::new();
-        sunny.for_each_id(|id| {
-            if let Some(peer) = sunny.view(id).ok().and_then(|n| n.sunny_peer) {
-                reverse.push((id, peer));
-            }
-        });
-        MappingPlan { forward, reverse }
-    }
-}
-
-/// The process-wide mapping-plan cache, keyed by the two trees' shape
-/// digests.
-fn mapping_plan_cache() -> &'static MemoCache<(u64, u64), MappingPlan> {
-    static CACHE: OnceLock<MemoCache<(u64, u64), MappingPlan>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("mapping", 512, |plan: &MappingPlan| {
-            ((plan.forward.len() + plan.reverse.len()) * std::mem::size_of::<(ViewId, ViewId)>())
-                as u64
-                + 64
-        })
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
-}
 
 /// The result of one lazy-migration pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,9 +83,8 @@ pub fn migrate_view(
     Ok(true)
 }
 
-/// The Table-1 essence copy itself, with the peer already resolved (the
-/// eager path resolves through the per-view pointer, the batched path
-/// through the engine's sharded map).
+/// The Table-1 essence copy itself, with the peer already resolved
+/// through the shadow view's sunny-peer pointer.
 fn copy_essence(
     shadow: &ViewTree,
     sunny: &mut ViewTree,
@@ -202,19 +148,15 @@ fn copy_essence(
 
 /// The coupling between a shadow tree and a sunny tree.
 ///
-/// Holds the sharded essence map (one per coupling side, so coin flips
-/// keep resolving without a rebuild), the coalescing dirty queue, the
-/// [`FlushPolicy`] that decides when the queue drains, and lifetime
-/// [`MigrationMetrics`].
+/// The essence mapping itself lives in the trees' sunny-peer pointers
+/// (the paper's "sunny view pointer"); the engine holds the coalescing
+/// dirty queue, the [`FlushPolicy`] that decides when the queue drains,
+/// and lifetime [`MigrationMetrics`].
 #[derive(Debug, Clone)]
 pub struct MigrationEngine {
     mapped_views: usize,
     policy: FlushPolicy,
     queue: DirtyQueue,
-    /// `peers[side]` maps a view of coupling side `side` to its peer on
-    /// the other side. Side 0 is the tree that was shadow when the
-    /// mapping was built; a coin flip swaps *roles* but not *sides*.
-    peers: [ShardedEssenceMap; 2],
     metrics: MigrationMetrics,
     check_equivalence: bool,
     /// Fault schedule probed on the flush path (sites
@@ -251,7 +193,6 @@ impl MigrationEngine {
             mapped_views: 0,
             policy,
             queue: DirtyQueue::new(),
-            peers: [ShardedEssenceMap::default(), ShardedEssenceMap::default()],
             metrics: MigrationMetrics::new(),
             check_equivalence: cfg!(debug_assertions),
             faults: FaultPlan::disarmed(),
@@ -293,14 +234,14 @@ impl MigrationEngine {
         self.fault_log.drain()
     }
 
-    /// Tears the coupling down entirely: pending queue, both sharded peer
-    /// maps, the stale set and the mapped count. Called when a fallback
-    /// restart abandons shadow/sunny handling so nothing can migrate
-    /// toward a destroyed tree.
+    /// Tears the engine's side of the coupling down: pending queue, the
+    /// stale set and the mapped count. Called when a fallback restart
+    /// abandons shadow/sunny handling and destroys the partner tree; with
+    /// no shadow left nothing migrates until the next
+    /// [`MigrationEngine::build_mapping`] overwrites the survivor's peer
+    /// pointers, so nothing can migrate toward a destroyed tree.
     pub fn reset_coupling(&mut self) {
         self.queue.clear();
-        self.peers[0].clear();
-        self.peers[1].clear();
         self.stale_views.clear();
         self.mapped_views = 0;
     }
@@ -330,71 +271,16 @@ impl MigrationEngine {
     /// Builds the essence-based mapping **both ways**: each tree's views
     /// store peers into the other, so a coin flip swaps roles without
     /// rebuilding (the paper: the flip "avoids … the building of the
-    /// essence-based mapping"). The same pairs are loaded into the
-    /// engine's sharded maps — the structure the batched flush resolves
-    /// through — and any stale queue is dropped. Returns the number of
-    /// shadow views mapped.
+    /// essence-based mapping"). Both the eager and the batched path
+    /// resolve through these pointers. Any stale queue is dropped.
+    /// Returns the number of shadow views mapped.
     pub fn build_mapping(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
-        if memo::enabled() {
-            let key = (shadow.mapping_shape_digest(), sunny.mapping_shape_digest());
-            match mapping_plan_cache().probe(key) {
-                Admission::Hit(plan) => return self.apply_mapping_plan(shadow, sunny, &plan),
-                Admission::Build => {
-                    let mapped = self.build_mapping_cold(shadow, sunny);
-                    let plan = MappingPlan::extract(shadow, sunny);
-                    debug_assert_eq!(plan.forward.len(), mapped);
-                    mapping_plan_cache().publish(key, plan);
-                    return mapped;
-                }
-                Admission::Skip => {}
-            }
-        }
-        self.build_mapping_cold(shadow, sunny)
-    }
-
-    /// Replays a cached plan: installs both trees' peer pointers and
-    /// refills the engine state exactly as the cold build would.
-    fn apply_mapping_plan(
-        &mut self,
-        shadow: &mut ViewTree,
-        sunny: &mut ViewTree,
-        plan: &MappingPlan,
-    ) -> usize {
-        let mapped = shadow.apply_sunny_peers(&plan.forward);
-        sunny.apply_sunny_peers(&plan.reverse);
-        shadow.set_coupling_side(Some(0));
-        sunny.set_coupling_side(Some(1));
-        self.peers[0].clear();
-        self.peers[1].clear();
-        for &(view, peer) in &plan.forward {
-            self.peers[0].insert(view, peer);
-            self.peers[1].insert(peer, view);
-        }
-        self.queue.clear();
-        self.stale_views.clear();
-        self.mapped_views = mapped;
-        mapped
-    }
-
-    /// The uncached mapping build.
-    fn build_mapping_cold(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
         // The indexes are cached on the trees (maintained incrementally on
         // structural ops), so this no longer re-traverses either hierarchy.
         // One cheap Symbol→ViewId map clone decouples the borrows.
         let shadow_index = shadow.id_name_index().clone();
         let mapped = shadow.set_sunny_peers(sunny.id_name_index());
         sunny.set_sunny_peers(&shadow_index);
-        shadow.set_coupling_side(Some(0));
-        sunny.set_coupling_side(Some(1));
-        self.peers[0].clear();
-        self.peers[1].clear();
-        let peers = &mut self.peers;
-        shadow.for_each_id(|id| {
-            if let Some(peer) = shadow.view(id).ok().and_then(|n| n.sunny_peer) {
-                peers[0].insert(id, peer);
-                peers[1].insert(peer, id);
-            }
-        });
         self.queue.clear();
         self.stale_views.clear();
         self.mapped_views = mapped;
@@ -434,16 +320,6 @@ impl MigrationEngine {
     /// e.g. the sunny instance died with the app).
     pub fn discard_pending(&mut self) {
         self.queue.clear();
-    }
-
-    /// Resolves a shadow view's sunny peer. Coupled trees resolve through
-    /// the sharded essence map of their side; uncoupled trees fall back
-    /// to the per-view pointer (the stock hook).
-    fn resolve_peer(&self, shadow: &ViewTree, view: ViewId) -> Option<ViewId> {
-        match shadow.coupling_side() {
-            Some(side) => self.peers[side as usize].get(view),
-            None => shadow.view(view).ok().and_then(|n| n.sunny_peer),
-        }
     }
 
     /// Lazy migration: drains the shadow tree's recorded invalidations
@@ -542,15 +418,16 @@ impl MigrationEngine {
         let mut report = MigrationReport::default();
         for entry in batch {
             report.examined += 1;
+            let mapped = shadow.view(entry.view).ok().and_then(|n| n.sunny_peer);
             let peer = if self.faults.should_inject(FaultSite::EssenceMappingMiss) {
                 None
             } else {
-                self.resolve_peer(shadow, entry.view)
+                mapped
             };
             let Some(peer) = peer else {
                 // A genuinely anonymous view is business as usual; a view
                 // that *was* mapped losing its peer is a contained fault.
-                if self.peers_contain(shadow, entry.view) {
+                if mapped.is_some() {
                     self.contain(entry.view, FaultSite::EssenceMappingMiss, &mut report);
                 } else {
                     report.unmapped += 1;
@@ -584,16 +461,6 @@ impl MigrationEngine {
             }
         }
         Ok(report)
-    }
-
-    /// Whether the coupling (sharded map or per-view pointer) knows a
-    /// peer for `view` — distinguishes "anonymous by design" from "the
-    /// mapping lost an entry".
-    fn peers_contain(&self, shadow: &ViewTree, view: ViewId) -> bool {
-        match shadow.coupling_side() {
-            Some(side) => self.peers[side as usize].get(view).is_some(),
-            None => shadow.view(view).ok().and_then(|n| n.sunny_peer).is_some(),
-        }
     }
 
     /// Rung-1 containment bookkeeping for one skipped view.
@@ -688,11 +555,11 @@ impl MigrationEngine {
 }
 
 /// Replays the *eager* path for `batch` on a clone of the sunny tree:
-/// each queued view migrates through [`migrate_view`], which resolves via
-/// the per-view pointer — independently of the sharded map the batched
-/// flush uses. Per-view errors are skipped, mirroring the supervised
-/// path's rung-1 containment (the assert is skipped whenever containment
-/// fired, so tolerating them here can never mask a real divergence).
+/// each queued view migrates through [`migrate_view`] in queue order,
+/// independently of the batched flush's bookkeeping. Per-view errors are
+/// skipped, mirroring the supervised path's rung-1 containment (the
+/// assert is skipped whenever containment fired, so tolerating them here
+/// can never mask a real divergence).
 #[cfg(debug_assertions)]
 fn eager_reference(shadow: &ViewTree, sunny: &ViewTree, batch: &[DirtyEntry]) -> ViewTree {
     let mut reference = sunny.clone();
@@ -741,38 +608,6 @@ mod tests {
         let mut engine = MigrationEngine::new();
         engine.build_mapping(&mut shadow, &mut sunny);
         (shadow, sunny, engine)
-    }
-
-    #[test]
-    fn memoized_mapping_matches_cold_build() {
-        // Drive the same shape through build_mapping repeatedly so the
-        // plan cache passes two-touch admission and replays, then check
-        // the warm coupling is indistinguishable from a cold one — peer
-        // pointers, mapped counts, and a full migration round-trip.
-        let (cold_shadow, cold_sunny, cold_engine) = {
-            let was = memo::enabled();
-            memo::set_enabled(false);
-            let v = coupled_trees();
-            memo::set_enabled(was);
-            v
-        };
-        for _ in 0..4 {
-            let (mut shadow, mut sunny, mut engine) = coupled_trees();
-            assert_eq!(engine.mapped_views(), cold_engine.mapped_views());
-            assert_eq!(shadow, cold_shadow, "shadow peers identical");
-            assert_eq!(sunny, cold_sunny, "sunny peers identical");
-            let name = shadow.find_by_id_name("name").unwrap();
-            shadow.apply(name, ViewOp::SetText("warm".into())).unwrap();
-            let report = engine
-                .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
-                .unwrap();
-            assert_eq!(report.migrated, 1);
-            let peer = sunny.find_by_id_name("name").unwrap();
-            assert_eq!(
-                sunny.view(peer).unwrap().attrs.text.as_deref(),
-                Some("warm")
-            );
-        }
     }
 
     #[test]
@@ -1017,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_resolution_survives_a_coin_flip() {
+    fn peer_pointers_resolve_across_a_coin_flip() {
         let (mut side0, mut side1, mut engine) = coupled_trees();
         engine.set_flush_policy(batched_engine(1, 0));
         // Forward direction: side0 is the shadow.
@@ -1027,7 +862,7 @@ mod tests {
             .migrate_invalidations(&mut side0, &mut side1, SimTime::ZERO)
             .unwrap();
         // Coin flip: roles swap, the mapping is NOT rebuilt. Side1 is now
-        // the shadow; resolution must go through the reverse shard set.
+        // the shadow; resolution goes through side1's own peer pointers.
         let peer_name = side1.find_by_id_name("name").unwrap();
         side1
             .apply(peer_name, ViewOp::SetText("rev".into()))
@@ -1037,6 +872,37 @@ mod tests {
             .unwrap();
         assert_eq!(r.migrated, 1);
         assert_eq!(side0.view(name).unwrap().attrs.text.as_deref(), Some("rev"));
+
+        // Two views per tree share the id name "dup"; the index keeps the
+        // lowest id, so both views of each side point at the other side's
+        // first "dup".
+        let build = || {
+            let mut t = ViewTree::new();
+            let first = t
+                .add_view(t.root(), ViewKind::TextView, Some("dup"))
+                .unwrap();
+            let second = t
+                .add_view(t.root(), ViewKind::TextView, Some("dup"))
+                .unwrap();
+            (t, first, second)
+        };
+        let (mut side0, first0, _) = build();
+        let (mut side1, _, second1) = build();
+        let mut engine = MigrationEngine::with_flush_policy(batched_engine(100, 1_000));
+        engine.build_mapping(&mut side0, &mut side1);
+        // Coin flip, then the old sunny side's second "dup" updates.
+        side1
+            .apply(second1, ViewOp::SetText("second".into()))
+            .unwrap();
+        engine
+            .migrate_invalidations(&mut side1, &mut side0, SimTime::ZERO)
+            .unwrap();
+        let r = engine.flush(&mut side1, &mut side0).unwrap();
+        assert_eq!(r.migrated, 1, "the update is not dropped");
+        assert_eq!(
+            side0.view(first0).unwrap().attrs.text.as_deref(),
+            Some("second")
+        );
     }
 
     #[test]

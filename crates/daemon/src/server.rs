@@ -720,12 +720,12 @@ mod tests {
         assert!(resp.iter().any(|(k, v)| *k == "state" && v == "stopped"));
     }
 
-    /// Registers stand-ins for the three warm-path caches, once per
+    /// Registers stand-ins for the two warm-path caches, once per
     /// process, so `cmd=stats` carries every per-cache memo field.
     fn register_warm_path_caches() {
         static ONCE: std::sync::Once = std::sync::Once::new();
         ONCE.call_once(|| {
-            for name in ["resolve", "inflate", "mapping"] {
+            for name in ["resolve", "inflate"] {
                 let cache: &'static memo::MemoCache<u64, u64> =
                     Box::leak(Box::new(memo::MemoCache::new(name, 1, |_| 0)));
                 memo::register(cache);
@@ -772,7 +772,6 @@ mod tests {
             "memo_evictions",
             "memo_bytes",
             "memo_inflate",
-            "memo_mapping",
             "memo_resolve",
             "workers",
             "queue_capacity",

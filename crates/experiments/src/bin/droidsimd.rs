@@ -37,7 +37,7 @@
 //! governor; see `cmd=health` for the resulting daemon state.
 //!
 //! `--no-memo` disables the warm-path memo caches (resolution,
-//! inflation, mapping plans) for the whole process — every job takes
+//! inflation) for the whole process — every job takes
 //! the cold path. The `stats` endpoint's `memo_*` fields then stay at
 //! zero; digests are identical either way (the memo ≡ cold contract).
 //!

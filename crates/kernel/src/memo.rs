@@ -1,9 +1,9 @@
 //! Content-addressed memoization of hot deterministic derivations.
 //!
 //! The fleet replays a small set of app shapes (corpus apps × configs ×
-//! seeds) thousands of times per study, and the three hottest derivations
-//! on the handling path — qualifier resolution, layout inflation and the
-//! essence-mapping plan — are *pure functions of their inputs*. This
+//! seeds) thousands of times per study, and the two hottest derivations
+//! on the handling path — qualifier resolution and layout inflation —
+//! are *pure functions of their inputs*. This
 //! module provides the shared warm-path cache they memoize through:
 //! a shard-per-key concurrent map modeled on the [`intern`](crate::intern)
 //! layout (fixed shard count, per-shard `RwLock`, `Arc`-shared immutable
@@ -13,7 +13,7 @@
 //! # Content addressing
 //!
 //! Keys are digests of the *inputs* (table fingerprint, template digest,
-//! configuration hash, tree shape), never identities, so two tasks — or
+//! configuration hash), never identities, so two tasks — or
 //! two daemon jobs hours apart — that derive from equal content share one
 //! entry, and any mutation changes the key rather than stalely hitting.
 //! Values are immutable once published and shared via `Arc`; a consumer
@@ -142,7 +142,7 @@ pub fn stable_hash<T: Hash + ?Sized>(value: &T) -> u64 {
 }
 
 /// Folds one `u64` word into an FNV-1a accumulator. Convenience for
-/// hand-rolled digest walks (tree shapes, template content).
+/// hand-rolled digest walks (template content).
 pub fn fold_u64(acc: u64, word: u64) -> u64 {
     let mut h = acc;
     for b in word.to_le_bytes() {
@@ -175,7 +175,7 @@ pub fn set_enabled(on: bool) {
 /// fingerprints, like wall-clock histograms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoSnapshot {
-    /// Cache name (stable, e.g. `resolve` / `inflate` / `mapping`).
+    /// Cache name (stable, e.g. `resolve` / `inflate`).
     pub name: &'static str,
     /// Probes answered from a published entry.
     pub hits: u64,

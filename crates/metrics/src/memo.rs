@@ -1,8 +1,8 @@
 //! The warm-path memoization ledger.
 //!
-//! [`kernel::memo`](droidsim_kernel::memo) keeps three content-addressed
+//! [`kernel::memo`](droidsim_kernel::memo) keeps two content-addressed
 //! caches hot across a whole fleet run (and a whole daemon lifetime):
-//! resolved resource views, inflated templates, and mapping plans. This
+//! resolved resource views and inflated templates. This
 //! ledger is the operator-facing view of those caches — per-cache hits,
 //! misses, evictions, resident entries and approximate resident bytes —
 //! captured with [`MemoLedger::capture`] from the process-wide registry.
@@ -39,7 +39,7 @@ impl MemoLedger {
     /// The `stats`-endpoint fields as `(key, value)` pairs: aggregate
     /// totals first, then one packed `hits/misses/evictions/entries`
     /// field per cache. Keys are `'static` to match the daemon's kv-line
-    /// contract, so per-cache fields use the fixed names of the three
+    /// contract, so per-cache fields use the fixed names of the two
     /// warm-path caches; an unknown cache folds into the totals only.
     pub fn kv_fields(&self) -> Vec<(&'static str, String)> {
         let sum = |field: fn(&MemoSnapshot) -> u64| -> String {
@@ -55,7 +55,6 @@ impl MemoLedger {
             let key = match cache.name {
                 "resolve" => "memo_resolve",
                 "inflate" => "memo_inflate",
-                "mapping" => "memo_mapping",
                 _ => continue,
             };
             out.push((
@@ -90,7 +89,6 @@ mod tests {
         MemoLedger {
             caches: vec![
                 cache("inflate", [30, 10, 2, 8, 4096]),
-                cache("mapping", [5, 5, 0, 5, 640]),
                 cache("resolve", [65, 15, 1, 14, 2048]),
             ],
         }
@@ -101,13 +99,12 @@ mod tests {
         let l = sample();
         let kv = l.kv_fields();
         let find = |key: &str| kv.iter().find(|(k, _)| *k == key).unwrap().1.clone();
-        assert_eq!(find("memo_hits"), "100");
-        assert_eq!(find("memo_misses"), "30");
+        assert_eq!(find("memo_hits"), "95");
+        assert_eq!(find("memo_misses"), "25");
         assert_eq!(find("memo_evictions"), "3");
-        assert_eq!(find("memo_bytes"), "6784");
+        assert_eq!(find("memo_bytes"), "6144");
         assert_eq!(find("memo_inflate"), "30/10/2/8");
         assert_eq!(find("memo_resolve"), "65/15/1/14");
-        assert_eq!(find("memo_mapping"), "5/5/0/5");
     }
 
     #[test]

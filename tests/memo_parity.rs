@@ -1,6 +1,6 @@
 //! The memo ≡ cold contract: the warm-path caches (`kernel::memo` —
-//! resolved resource views, inflated templates, mapping plans, and the
-//! built-app slot behind `GenericAppSpec::build`) are pure
+//! resolved resource views and inflated templates, plus the built-app
+//! slot behind `GenericAppSpec::build`) are pure
 //! memoization. Disabling them with the kill switch, evicting them
 //! under pressure, or invalidating them mid-workload must never change
 //! a single observable digest — at any worker count, with faults
@@ -52,7 +52,8 @@ const FAULT_RATE: f64 = 0.05;
 
 /// One faulty device workload, digesting everything observable — the
 /// same shape as the fleet determinism suite, so the memo caches see
-/// the full resolve → inflate → build_mapping path under degradation.
+/// the full resolve → inflate path (and the uncached mapping build
+/// after it) under degradation.
 fn device_digest(fault_seed: u64, jitter_seed: u64) -> u64 {
     let mut d = Device::new(HandlingMode::rchdroid_default()).with_jitter(jitter_seed, 0.1);
     let c = d

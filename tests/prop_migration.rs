@@ -1,13 +1,19 @@
 //! Property tests on RCHDroid's essence-based mapping and lazy migration.
 
 use droidsim_kernel::{SimDuration, SimTime};
-use droidsim_view::{ViewKind, ViewOp, ViewTree};
+use droidsim_view::{ViewId, ViewKind, ViewOp, ViewTree};
 use proptest::prelude::*;
 use rchdroid::{FlushPolicy, MigrationEngine};
 
 /// Builds two trees with the same id names (as two inflations of one
 /// layout would) containing `n` views of assorted migratable kinds.
 fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
+    coupled_trees_named(n, n.max(1))
+}
+
+/// Like [`coupled_trees`], but view `i` is named `v{i % names}`, so a
+/// `names` below `n` makes several views per tree share an id name.
+fn coupled_trees_named(n: usize, names: usize) -> (ViewTree, ViewTree, MigrationEngine) {
     let kinds = [
         ViewKind::EditText,
         ViewKind::ImageView,
@@ -21,7 +27,8 @@ fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
         let root = t.add_view(t.root(), container, Some("root")).unwrap();
         for i in 0..n {
             let kind = kinds[i % kinds.len()].clone();
-            t.add_view(root, kind, Some(&format!("v{i}"))).unwrap();
+            t.add_view(root, kind, Some(&format!("v{}", i % names)))
+                .unwrap();
         }
         t
     };
@@ -30,6 +37,14 @@ fn coupled_trees(n: usize) -> (ViewTree, ViewTree, MigrationEngine) {
     let mut engine = MigrationEngine::new();
     engine.build_mapping(&mut shadow, &mut sunny);
     (shadow, sunny, engine)
+}
+
+/// The `i`-th view under the "root" container, by position — unlike
+/// [`ViewTree::find_by_id_name`], this reaches every bearer of a
+/// repeated id name.
+fn nth_view(t: &ViewTree, i: usize) -> ViewId {
+    let root = t.find_by_id_name("root").unwrap();
+    t.view(root).unwrap().children[i]
 }
 
 /// An op applicable to the view kind at index `i`.
@@ -176,8 +191,8 @@ struct System {
 }
 
 impl System {
-    fn new(n: usize, policy: FlushPolicy) -> System {
-        let (shadow, sunny, mut engine) = coupled_trees(n);
+    fn new(n: usize, names: usize, policy: FlushPolicy) -> System {
+        let (shadow, sunny, mut engine) = coupled_trees_named(n, names);
         engine.set_flush_policy(policy);
         System {
             trees: [shadow, sunny],
@@ -194,7 +209,7 @@ impl System {
                 Step::Update { which, payload } => {
                     let i = which % n;
                     let t = &mut self.trees[self.shadow];
-                    let view = t.find_by_id_name(&format!("v{i}")).unwrap();
+                    let view = nth_view(t, i);
                     t.apply(view, op_for(i, *payload)).unwrap();
                 }
                 Step::Deliver => {
@@ -246,17 +261,21 @@ proptest! {
     /// async deliveries and configuration changes, a batched engine ends
     /// with bit-identical trees to an eager engine fed the same script.
     /// (Each batched flush additionally self-checks against an eager
-    /// replay via the engine's debug-mode equivalence checker.)
+    /// replay via the engine's debug-mode equivalence checker.) Layouts
+    /// may repeat id names, so several views share one peer.
     #[test]
     fn batched_flush_is_equivalent_to_eager_migration(
         n in 1usize..16,
+        names_seed in any::<usize>(),
         script in proptest::collection::vec(step_strategy(), 0..48),
         max_pending in 1usize..10,
         max_delay_ms in 0u64..32,
     ) {
-        let mut eager = System::new(n, FlushPolicy::Eager);
+        let names = 1 + names_seed % n;
+        let mut eager = System::new(n, names, FlushPolicy::Eager);
         let mut batched = System::new(
             n,
+            names,
             FlushPolicy::batched(max_pending, SimDuration::from_millis(max_delay_ms)),
         );
         eager.run(n, &script);

@@ -64,13 +64,13 @@ fleet-determinism:
 	$(CARGO) test -q --test fleet_determinism
 	DROIDSIM_JOBS=2 $(CARGO) test -q --test fleet_determinism
 
-# The warm-path cache parity gate (DESIGN.md §13): fleet digests with
-# the memo caches on must be bit-identical to a cold run at every
-# worker count under a 5% fault rate, random app specs must digest
-# identically cache-on and cache-off, and eviction under memory
-# pressure mid-fleet must never change a result. The second line
-# re-runs the fleet determinism suite with the caches disabled so the
-# kill switch itself stays a first-class, tested configuration.
+# The warm-path parity gate (DESIGN.md §13): fleet digests with the
+# built-app slot on must be bit-identical to a cold run at every worker
+# count under a 5% fault rate, random app specs must digest identically
+# warm and cold, and the committed table5 and rchlint digests must come
+# out with the kill switch on and off. The second line re-runs the
+# fleet determinism suite with the warm path disabled so the kill
+# switch itself stays a first-class, tested configuration.
 memo-parity:
 	$(CARGO) test -q --release --test memo_parity
 	DROIDSIM_NO_MEMO=1 $(CARGO) test -q --test fleet_determinism

@@ -14,9 +14,9 @@
 //! finished tree is moved out of the throwaway activity, not copied.
 //! Extraction itself is not memoized: every app of a corpus has its own
 //! shape and an `rchlint` process analyses each app once, so a shape
-//! cache would never hit. The resolve and inflate caches underneath
-//! still apply, and `tests/memo_parity.rs` holds the analysis results
-//! equal with them on and off.
+//! cache would never hit. The built-app slot underneath still applies,
+//! and `tests/memo_parity.rs` holds the analysis results equal with it
+//! on and off.
 
 use droidsim_app::{Activity, ActivityInstanceId, AppModel, AsyncSpec};
 use droidsim_atms::ActivityRecordId;
@@ -335,9 +335,9 @@ mod tests {
 
     #[test]
     fn distinct_descriptors_never_collide_in_the_cache() {
-        // Same name, different dataloss descriptor: the resolve and
-        // inflate cache keys must separate them or the second extraction
-        // would return the first's trees.
+        // Same name, different dataloss descriptor: the built-app slot
+        // must separate them or the second extraction would return the
+        // first's trees.
         let mut a = GenericAppSpec::sized("ShapeTwin", "1K+", false);
         a.dataloss = Some(DataLossScenario::new(
             DataLossClass::AsyncRace,
@@ -350,7 +350,6 @@ mod tests {
         let mut b = GenericAppSpec::sized("ShapeTwin", "1K+", false);
         b.dataloss = None;
         for _ in 0..3 {
-            // past admission, into published-hit territory
             let sa = AppShape::from_spec(&a);
             let sb = AppShape::from_spec(&b);
             assert!(sa.trees[0].tree.find_by_id_name("alpha_field").is_some());

@@ -9,18 +9,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use droidsim_analysis::{analyze_specs, Suppressions};
-use droidsim_config::{Configuration, Orientation, UiMode};
 use droidsim_device::HandlingMode;
 use droidsim_fleet::{
     combine_ordered, run_fleet, run_fleet_supervised, Digest, FleetConfig, FleetOptions, TaskCtx,
 };
-use droidsim_kernel::memo;
-use droidsim_resources::{LayoutNode, LayoutTemplate, Qualifiers, ResourceTable, ResourceValue};
 use rch_experiments::{run_app, RunConfig};
 use rch_workloads::{dataloss_specs, top100_sample, GenericAppSpec};
-use rchdroid::MigrationEngine;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sample size: enough devices that partitioning matters, small enough
 /// that a bench iteration stays under a second.
@@ -62,228 +57,6 @@ fn simulate_supervised(cfg: &FleetConfig, opts: &FleetOptions, sample: &[Generic
     .unwrap()
     .combined_digest()
     .unwrap()
-}
-
-/// Devices in the memo arms' fleet. The timed arms run serially
-/// (jobs=1) so the warm/cold ratio is a pure cache effect — the
-/// per-call thread-spawn constant of a multi-worker fleet would dilute
-/// the ratio without exercising the caches any harder. Cross-worker
-/// cache sharing is covered by the jobs=4 digest assertion before any
-/// timing starts.
-const MEMO_DEVICES: usize = 16;
-const MEMO_JOBS: usize = 1;
-const MEMO_SHARED_JOBS: usize = 4;
-
-/// Resource table the memo workload resolves against, shaped like a
-/// real multi-config APK: every string has a default and a landscape
-/// variant (so the resolved view depends on the configuration bucket)
-/// plus a pile of higher-specificity variants — locales, smallest-width
-/// buckets, night mode — that a phone config never matches but a cold
-/// resolution must scan past every single time.
-fn memo_table() -> ResourceTable {
-    let mut t = ResourceTable::new();
-    for i in 0..8 {
-        let name = format!("s{i}");
-        for lang in ["de", "fr", "ja", "pt", "es", "it", "ru", "zh"] {
-            t.put(
-                &name,
-                Qualifiers::any().with_language(lang),
-                ResourceValue::String(format!("str-{i}-{lang}")),
-            );
-        }
-        for sw in [600, 720, 840, 960] {
-            t.put(
-                &name,
-                Qualifiers::any().with_min_smallest_width(sw),
-                ResourceValue::String(format!("str-{i}-sw{sw}")),
-            );
-        }
-        t.put(
-            &name,
-            Qualifiers::any().with_ui_mode(UiMode::Night),
-            ResourceValue::String(format!("str-{i}-night")),
-        );
-        t.put(
-            &name,
-            Qualifiers::any().with_orientation(Orientation::Landscape),
-            ResourceValue::String(format!("str-{i}-land")),
-        );
-        t.put(
-            &name,
-            Qualifiers::any(),
-            ResourceValue::String(format!("str-{i}")),
-        );
-        let drawable = format!("d{i}");
-        t.put(
-            &drawable,
-            Qualifiers::any().with_ui_mode(UiMode::Night),
-            ResourceValue::Drawable {
-                name: format!("d{i}-night.png"),
-                bytes_hint: 4 << 10,
-            },
-        );
-        for sw in [600, 840] {
-            t.put(
-                &drawable,
-                Qualifiers::any().with_min_smallest_width(sw),
-                ResourceValue::Drawable {
-                    name: format!("d{i}-sw{sw}.png"),
-                    bytes_hint: 8 << 10,
-                },
-            );
-        }
-        t.put(
-            &drawable,
-            Qualifiers::any(),
-            ResourceValue::Drawable {
-                name: format!("d{i}.png"),
-                bytes_hint: 4 << 10,
-            },
-        );
-    }
-    t
-}
-
-/// A 241-node resolution-heavy layout: every row resolves two strings
-/// and two drawables, so a cold inflation pays 192 table resolutions
-/// where a warm one pays one key digest and a tree clone. `tag` varies
-/// the template content: a fixed tag is the repeated-shape workload
-/// (every device inflates the same template), a fresh tag per call
-/// defeats the caches on purpose.
-fn memo_template(tag: u64) -> LayoutTemplate {
-    let mut root = LayoutNode::new("LinearLayout").with_id("root");
-    for i in 0..48 {
-        root = root.with_child(
-            LayoutNode::new("LinearLayout")
-                .with_id(&format!("row{i}"))
-                .with_child(
-                    LayoutNode::new("TextView")
-                        .with_id(&format!("t{i}"))
-                        .with_attr("text", &format!("@string/s{}", i % 8))
-                        .with_attr("tag", &tag.to_string()),
-                )
-                .with_child(
-                    LayoutNode::new("TextView")
-                        .with_id(&format!("sub{i}"))
-                        .with_attr("text", &format!("@string/s{}", (i + 3) % 8)),
-                )
-                .with_child(
-                    LayoutNode::new("ImageView")
-                        .with_id(&format!("img{i}"))
-                        .with_attr("src", &format!("@drawable/d{}", i % 8)),
-                )
-                .with_child(
-                    LayoutNode::new("ImageView")
-                        .with_id(&format!("badge{i}"))
-                        .with_attr("src", &format!("@drawable/d{}", (i + 5) % 8)),
-                ),
-        );
-    }
-    LayoutTemplate::new("memo_bench", root)
-}
-
-/// One device of the warm-path workload: inflate the template twice
-/// (shadow + sunny instance), resolving through the table — the two
-/// memoized derivations — then build the essence mapping between them
-/// (never cached: it is just the trees' peer pointers) and digest
-/// everything observable.
-fn memo_device(index: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    let config = if index.is_multiple_of(2) {
-        Configuration::phone_portrait()
-    } else {
-        Configuration::phone_landscape()
-    };
-    let (mut shadow, stats) = droidsim_view::inflate(template, table, &config);
-    let (mut sunny, _) = droidsim_view::inflate(template, table, &config);
-    let mut engine = MigrationEngine::new();
-    let mapped = engine.build_mapping(&mut shadow, &mut sunny);
-    let mut d = Digest::new();
-    d.write_u64(stats.views_created as u64);
-    d.write_u64(stats.drawable_bytes);
-    d.write_u64(stats.strings_resolved as u64);
-    d.write_u64(mapped as u64);
-    d.write_str(
-        table
-            .resolve_string(&format!("s{}", index % 8), &config)
-            .unwrap_or("<missing>"),
-    );
-    d.finish()
-}
-
-/// The repeated-shape fleet: every device inflates the same template,
-/// so once the touch-counted admission warms up, the steady state is
-/// all cache hits.
-fn memo_fleet_jobs(jobs: usize, template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    combine_ordered(run_fleet(
-        &FleetConfig::new(jobs, 0),
-        (0..MEMO_DEVICES).collect(),
-        |_ctx, i| memo_device(i, template, table),
-    ))
-}
-
-fn memo_fleet(template: &LayoutTemplate, table: &ResourceTable) -> u64 {
-    memo_fleet_jobs(MEMO_JOBS, template, table)
-}
-
-/// The unique-shape fleet: a fresh template per *device*, so no inflate
-/// key is ever probed more than the one shadow + sunny pair that owns
-/// it. This is the admission policy's worst case on purpose — under the
-/// inflater's three-touch admission both touches are tombstones (key
-/// digest only, both inflates build cold, nothing is published).
-fn memo_fleet_unique(nonce: &AtomicU64, table: &ResourceTable) -> u64 {
-    let templates: Vec<LayoutTemplate> = (0..MEMO_DEVICES)
-        .map(|_| memo_template(nonce.fetch_add(1, Ordering::Relaxed)))
-        .collect();
-    combine_ordered(run_fleet(
-        &FleetConfig::new(MEMO_JOBS, 0),
-        (0..MEMO_DEVICES).collect(),
-        |_ctx, i| memo_device(i, &templates[i], table),
-    ))
-}
-
-/// The warm-path cache arms: `memo/warm` vs `memo/cold` is the ≥1.5×
-/// speedup criterion on a repeated-shape fleet; `memo/unique` vs
-/// `memo/unique_cold` is the no-regression criterion when nothing ever
-/// repeats. The memo ≡ cold digest identity is asserted before any
-/// timing.
-fn bench_memo(c: &mut Criterion) {
-    let table = memo_table();
-    let template = memo_template(0);
-    memo::set_enabled(false);
-    let cold_digest = memo_fleet(&template, &table);
-    memo::set_enabled(true);
-    assert_eq!(
-        memo_fleet(&template, &table),
-        cold_digest,
-        "memoized fleet digest diverged from the cold run"
-    );
-    assert_eq!(
-        memo_fleet_jobs(MEMO_SHARED_JOBS, &template, &table),
-        cold_digest,
-        "memoized fleet digest diverged when workers share the caches"
-    );
-
-    let mut group = c.benchmark_group("fleet_parallel");
-    group.bench_function("memo/warm", |b| {
-        memo::set_enabled(true);
-        b.iter(|| black_box(memo_fleet(&template, &table)));
-    });
-    group.bench_function("memo/cold", |b| {
-        memo::set_enabled(false);
-        b.iter(|| black_box(memo_fleet(&template, &table)));
-        memo::set_enabled(true);
-    });
-    let nonce = AtomicU64::new(1);
-    group.bench_function("memo/unique", |b| {
-        memo::set_enabled(true);
-        b.iter(|| black_box(memo_fleet_unique(&nonce, &table)));
-    });
-    group.bench_function("memo/unique_cold", |b| {
-        memo::set_enabled(false);
-        b.iter(|| black_box(memo_fleet_unique(&nonce, &table)));
-        memo::set_enabled(true);
-    });
-    group.finish();
 }
 
 /// The analyzer's fleet throughput over the whole generated data-loss
@@ -374,6 +147,6 @@ fn fast() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast();
-    targets = bench, bench_memo, bench_rchlint
+    targets = bench, bench_rchlint
 }
 criterion_main!(benches);

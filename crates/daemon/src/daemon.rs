@@ -31,13 +31,14 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_fleet::CancelToken;
 use droidsim_kernel::journal;
+use droidsim_kernel::lock_unpoisoned as lock;
 use droidsim_metrics::{DaemonLedger, FleetLedger, Histogram};
 
 use crate::faultio::IoFaults;
@@ -345,10 +346,6 @@ struct Shared {
     headroom: HeadroomProbe,
     tick: Duration,
     workers: usize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1052,10 +1049,6 @@ fn reclaim_under_pressure(shared: &Shared) {
     if !shared.headroom.under_pressure() {
         return;
     }
-    // Warm-path memo caches are the cheapest memory to give back: drop
-    // their cold half before shedding any queued work. Reclaim never
-    // changes results — evicted entries are re-derived on the cold path.
-    droidsim_kernel::memo::reclaim_all();
     lock(&shared.ledger).reclaim_passes += 1;
     let victims = shared.queue.shed_lowest_class(Priority::High);
     for victim in victims {

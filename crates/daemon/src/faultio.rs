@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex};
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_kernel::journal::LogFaults;
 pub use droidsim_kernel::journal::WriteFault;
+use droidsim_kernel::lock_unpoisoned;
 
 /// Shared, cloneable handle to the daemon edge's fault schedule (see
 /// module docs). Clones share the same underlying plan, so the journal
@@ -54,34 +55,28 @@ impl IoFaults {
     /// closes fault windows (e.g. an `ENOSPC` window that later
     /// clears) without rebuilding the daemon.
     pub fn set_plan(&self, plan: FaultPlan) {
-        *self.lock() = plan;
+        *lock_unpoisoned(&self.plan) = plan;
     }
 
     /// Whether any site can ever inject.
     pub fn is_armed(&self) -> bool {
-        self.lock().is_armed()
+        lock_unpoisoned(&self.plan).is_armed()
     }
 
     /// One probe at `site` (counts even when disarmed, so forced
     /// indices stay aligned with the probe sequence).
     pub fn should_inject(&self, site: FaultSite) -> bool {
-        self.lock().should_inject(site)
+        lock_unpoisoned(&self.plan).should_inject(site)
     }
 
     /// Injections recorded at `site` so far.
     pub fn injected(&self, site: FaultSite) -> u64 {
-        self.lock().injected(site)
+        lock_unpoisoned(&self.plan).injected(site)
     }
 
     /// Probes recorded at `site` so far.
     pub fn probes(&self, site: FaultSite) -> u64 {
-        self.lock().probes(site)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FaultPlan> {
-        self.plan
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_unpoisoned(&self.plan).probes(site)
     }
 }
 
@@ -90,7 +85,7 @@ impl LogFaults for IoFaults {
     /// by alternating on the site's injection count so ENOSPC and
     /// short-write repairs are both replayed deterministically.
     fn write_fault(&self) -> Option<WriteFault> {
-        let mut plan = self.lock();
+        let mut plan = lock_unpoisoned(&self.plan);
         if !plan.should_inject(FaultSite::JournalWrite) {
             return None;
         }

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use droidsim_kernel::lock_unpoisoned;
+
 use crate::spec::{JobSpec, Priority};
 
 /// One queued admission: the job id and its spec (the spec rides along
@@ -112,7 +114,7 @@ impl AdmissionQueue {
 
     /// Jobs currently queued (all rings).
     pub fn depth(&self) -> usize {
-        self.lock().depth()
+        lock_unpoisoned(&self.rings).depth()
     }
 
     /// Whether a submission at `priority` would be admitted right now —
@@ -120,7 +122,7 @@ impl AdmissionQueue {
     /// only under concurrency: pops can only *shrink* the queue, so a
     /// `true` from the daemon's serialized admission path stays true.
     pub fn would_admit(&self, priority: Priority) -> bool {
-        let rings = self.lock();
+        let rings = lock_unpoisoned(&self.rings);
         rings.depth() < self.capacity
             || rings.by_priority[..priority.ring()]
                 .iter()
@@ -129,7 +131,7 @@ impl AdmissionQueue {
 
     /// Admits, displaces, or refuses (see [`Admit`]).
     pub fn try_admit(&self, job: QueuedJob) -> Admit {
-        let mut rings = self.lock();
+        let mut rings = lock_unpoisoned(&self.rings);
         if rings.depth() < self.capacity {
             let ring = job.spec.priority.ring();
             rings.by_priority[ring].push_back(job);
@@ -157,7 +159,7 @@ impl AdmissionQueue {
     /// bound: an accepted job is a promise.
     pub fn push_resumed(&self, job: QueuedJob) {
         let ring = job.spec.priority.ring();
-        self.lock().by_priority[ring].push_back(job);
+        lock_unpoisoned(&self.rings).by_priority[ring].push_back(job);
         self.available.notify_one();
     }
 
@@ -166,7 +168,7 @@ impl AdmissionQueue {
     /// put, parked for a later resume) or when `draining` is set and
     /// the queue is empty.
     pub fn pop(&self, stop_now: &AtomicBool, draining: &AtomicBool) -> Option<QueuedJob> {
-        let mut rings = self.lock();
+        let mut rings = lock_unpoisoned(&self.rings);
         loop {
             if stop_now.load(Ordering::Acquire) {
                 return None;
@@ -191,7 +193,7 @@ impl AdmissionQueue {
     /// of a job that has not started). `None` when the job is not
     /// queued — already popped, or never here.
     pub fn remove(&self, id: u64) -> Option<QueuedJob> {
-        let mut rings = self.lock();
+        let mut rings = lock_unpoisoned(&self.rings);
         for ring in &mut rings.by_priority {
             if let Some(pos) = ring.iter().position(|j| j.id == id) {
                 return ring.remove(pos);
@@ -205,7 +207,7 @@ impl AdmissionQueue {
     /// Shedding one class per pass is deliberate: pressure that clears
     /// after shedding `Low` never touches `Normal`.
     pub fn shed_lowest_class(&self, keep: Priority) -> Vec<QueuedJob> {
-        let mut rings = self.lock();
+        let mut rings = lock_unpoisoned(&self.rings);
         for ring in &mut rings.by_priority[..keep.ring()] {
             if !ring.is_empty() {
                 return ring.drain(..).collect();
@@ -218,12 +220,6 @@ impl AdmissionQueue {
     /// re-checked immediately.
     pub fn wake_all(&self) {
         self.available.notify_all();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Rings> {
-        self.rings
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 

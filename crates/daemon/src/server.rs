@@ -426,10 +426,6 @@ pub(crate) fn dispatch(
             out.extend(stats.ledger.kv_fields());
             // Derived, so not a ledger entry: the server adds it itself.
             out.push(("in_flight", stats.ledger.in_flight().to_string()));
-            // Warm-path cache telemetry (fingerprint-excluded): the memo
-            // caches live as process statics, so a live capture here is
-            // exactly the worker pool's accumulated hit/miss picture.
-            out.extend(droidsim_metrics::MemoLedger::capture().kv_fields());
             out.push(("workers", stats.workers.to_string()));
             out.push(("queue_capacity", stats.queue_capacity.to_string()));
             out.push(("fleet", stats.fleet.deterministic_fingerprint()));
@@ -456,7 +452,6 @@ mod tests {
     use crate::daemon::{DaemonConfig, JobControl, JobExecutor, JobVerdict};
     use crate::spec::{JobKind, JobSpec};
     use crate::Client;
-    use droidsim_kernel::memo;
     use droidsim_metrics::FleetLedger;
     use std::io::Read;
     use std::path::PathBuf;
@@ -720,22 +715,8 @@ mod tests {
         assert!(resp.iter().any(|(k, v)| *k == "state" && v == "stopped"));
     }
 
-    /// Registers stand-ins for the two warm-path caches, once per
-    /// process, so `cmd=stats` carries every per-cache memo field.
-    fn register_warm_path_caches() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            for name in ["resolve", "inflate"] {
-                let cache: &'static memo::MemoCache<u64, u64> =
-                    Box::leak(Box::new(memo::MemoCache::new(name, 1, |_| 0)));
-                memo::register(cache);
-            }
-        });
-    }
-
     #[test]
     fn stats_and_health_keys_are_pinned() {
-        register_warm_path_caches();
         let daemon = Daemon::start(DaemonConfig::new(), EchoExecutor).unwrap();
         let keys = |cmd: &str| {
             let req = journal::decode_line(&format!("cmd={cmd}")).unwrap();
@@ -767,12 +748,6 @@ mod tests {
             "dedupe_hits",
             "conns_rejected",
             "slowloris_closed",
-            "memo_hits",
-            "memo_misses",
-            "memo_evictions",
-            "memo_bytes",
-            "memo_inflate",
-            "memo_resolve",
             "workers",
             "queue_capacity",
             "fleet",

@@ -36,16 +36,6 @@ const TOLERANCE: f64 = 0.15;
 const SCALING_FACTOR: f64 = 0.5;
 const FLEET_WIDE: &str = "fleet_parallel/jobs/1";
 const FLEET_NARROW: &str = "fleet_parallel/jobs/8";
-/// The warm-path cache must buy at least this speedup on the
-/// repeated-shape fleet (cold mean / warm mean).
-const MEMO_SPEEDUP: f64 = 1.5;
-/// Allowed slowdown on the unique-shape fleet with the caches on.
-/// Digesting a never-seen template once per probe is an irreducible
-/// cost, and the unique arms re-build their 16 templates inside the
-/// timed region, so this band is the general [`TOLERANCE`] plus the
-/// arm's observed run-to-run variance. The pre-admission-fix
-/// regression this check exists to catch measured +22%.
-const MEMO_UNIQUE_TOLERANCE: f64 = 0.20;
 /// The analyzer-throughput scaling pair: 8-way linting of the data-loss
 /// corpus must run in at most this factor of the serial mean. Looser
 /// than [`SCALING_FACTOR`]: per-app lint work is smaller than a full
@@ -53,10 +43,6 @@ const MEMO_UNIQUE_TOLERANCE: f64 = 0.20;
 const THROUGHPUT_FACTOR: f64 = 0.6;
 const THROUGHPUT_WIDE: &str = "fleet_parallel/rchlint_throughput/jobs/1";
 const THROUGHPUT_NARROW: &str = "fleet_parallel/rchlint_throughput/jobs/8";
-const MEMO_WARM: &str = "fleet_parallel/memo/warm";
-const MEMO_COLD: &str = "fleet_parallel/memo/cold";
-const MEMO_UNIQUE: &str = "fleet_parallel/memo/unique";
-const MEMO_UNIQUE_COLD: &str = "fleet_parallel/memo/unique_cold";
 
 #[derive(Debug, Clone, PartialEq)]
 struct Benchmark {
@@ -255,51 +241,6 @@ fn check_throughput(label: &str, doc: &BenchDoc) -> Vec<Violation> {
     )
 }
 
-/// The warm-path cache assertions over one document's memo arms:
-/// repeated shapes must be ≥ [`MEMO_SPEEDUP`]× faster warm than cold,
-/// and unique shapes must not pay more than the tolerance band for
-/// having the caches on.
-fn check_memo(label: &str, doc: &BenchDoc) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if let (Some(warm), Some(cold)) = (mean_of(doc, MEMO_WARM), mean_of(doc, MEMO_COLD)) {
-        if warm.mean_ns > 0.0 && cold.mean_ns > 0.0 {
-            let speedup = cold.mean_ns / warm.mean_ns;
-            println!(
-                "   memo: {MEMO_COLD} / {MEMO_WARM} = {speedup:.2}x (required ≥ {MEMO_SPEEDUP}x)"
-            );
-            if speedup < MEMO_SPEEDUP {
-                violations.push(Violation {
-                    message: format!(
-                        "{label}: the warm-path cache bought only {speedup:.2}x on the \
-                         repeated-shape fleet; the memo gate requires ≥ {MEMO_SPEEDUP}x"
-                    ),
-                });
-            }
-        }
-    }
-    if let (Some(on), Some(off)) = (mean_of(doc, MEMO_UNIQUE), mean_of(doc, MEMO_UNIQUE_COLD)) {
-        if on.mean_ns > 0.0 && off.mean_ns > 0.0 {
-            let overhead = on.mean_ns / off.mean_ns - 1.0;
-            println!(
-                "   memo: {MEMO_UNIQUE} / {MEMO_UNIQUE_COLD} = {:+.1}% (allowed ≤ +{:.0}%)",
-                overhead * 100.0,
-                MEMO_UNIQUE_TOLERANCE * 100.0
-            );
-            if overhead > MEMO_UNIQUE_TOLERANCE {
-                violations.push(Violation {
-                    message: format!(
-                        "{label}: the caches cost {:+.1}% on the unique-shape fleet \
-                         (allowed ≤ +{:.0}%) — the admission path regressed the miss path",
-                        overhead * 100.0,
-                        MEMO_UNIQUE_TOLERANCE * 100.0
-                    ),
-                });
-            }
-        }
-    }
-    violations
-}
-
 fn main() -> ExitCode {
     rch_experiments::version_flag();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -338,8 +279,6 @@ fn main() -> ExitCode {
         violations.extend(check_scaling(base_path, &baseline));
         violations.extend(check_throughput("fresh run", &fresh));
         violations.extend(check_throughput(base_path, &baseline));
-        violations.extend(check_memo("fresh run", &fresh));
-        violations.extend(check_memo(base_path, &baseline));
     }
 
     if violations.is_empty() {
@@ -463,47 +402,6 @@ mod tests {
             &parse_doc(&DOC.replace("\"logical_cores\": 8", "\"logical_cores\": 1"))
         )
         .is_empty());
-    }
-
-    const MEMO_DOC: &str = r#"{
-  "machine": {"logical_cores": 8, "droidsim_jobs": "unset"},
-  "benchmarks": [
-    {"id": "fleet_parallel/memo/warm", "mean_ns": 1000000.0, "iterations": 100},
-    {"id": "fleet_parallel/memo/cold", "mean_ns": 2000000.0, "iterations": 100},
-    {"id": "fleet_parallel/memo/unique", "mean_ns": 2050000.0, "iterations": 100},
-    {"id": "fleet_parallel/memo/unique_cold", "mean_ns": 2000000.0, "iterations": 100}
-  ]
-}
-"#;
-
-    #[test]
-    fn memo_gate_enforces_speedup_and_unique_overhead() {
-        let good = parse_doc(MEMO_DOC); // 2.0x warm speedup, +2.5% unique
-        assert!(check_memo("t", &good).is_empty());
-
-        let mut slow_warm = good.clone();
-        slow_warm.benchmarks[0].mean_ns = 1_500_000.0; // 1.33x < 1.5x
-        let violations = check_memo("t", &slow_warm);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].message.contains("memo gate"));
-
-        let mut costly_unique = good.clone();
-        costly_unique.benchmarks[2].mean_ns = 2_500_000.0; // +25% > +20%
-        let violations = check_memo("t", &costly_unique);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].message.contains("unique-shape"));
-    }
-
-    #[test]
-    fn memo_gate_skips_absent_and_smoke_arms() {
-        // A doc with no memo arms (the migration bench) has nothing to
-        // check; zero means (smoke mode) are skipped too.
-        assert!(check_memo("t", &parse_doc(DOC)).is_empty());
-        let mut smoke = parse_doc(MEMO_DOC);
-        for b in &mut smoke.benchmarks {
-            b.mean_ns = 0.0;
-        }
-        assert!(check_memo("t", &smoke).is_empty());
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!
 //! The summary reports p50/p95/p99 submit-to-done latency over the
 //! jobs that completed — the operator-facing number a warm daemon is
-//! supposed to improve. `--no-memo` disables the warm-path memo caches
-//! for the *in-process* reference-digest computation (the daemon's own
-//! `--no-memo` flag governs the daemon side); digests must match either
-//! way.
+//! supposed to improve. `--no-memo` turns the warm path (the built-app
+//! slot) off for the *in-process* reference-digest computation (the
+//! daemon's own `--no-memo` flag governs the daemon side); digests must
+//! match either way.
 //!
 //! The client fan-out claims job indices through the same
 //! `run_claiming_pool` skeleton the fleet driver uses. With

@@ -36,10 +36,9 @@
 //! `--max-line-bytes` and `--max-wait-ms` tune the connection
 //! governor; see `cmd=health` for the resulting daemon state.
 //!
-//! `--no-memo` disables the warm-path memo caches (resolution,
-//! inflation) for the whole process — every job takes
-//! the cold path. The `stats` endpoint's `memo_*` fields then stay at
-//! zero; digests are identical either way (the memo ≡ cold contract).
+//! `--no-memo` turns the warm path (the built-app slot) off for the
+//! whole process — every job builds its apps cold. Digests are
+//! identical either way (the memo ≡ cold contract).
 //!
 //! Exit codes: 0 after a clean `cmd=shutdown`; 2 on a usage error.
 

@@ -62,10 +62,11 @@ use std::time::Duration;
 /// * `--resume PATH` — skip tasks PATH already records, appending new
 ///   completions to it, or to the `--journal` file when one is given
 ///   (implies `--keep-going`);
-/// * `--no-memo` — disable the warm-path memo caches (`kernel::memo`)
-///   for this process: every resolution, inflation, and mapping build
-///   takes the cold path. The correctness kill switch behind the
-///   memo ≡ cold parity gates; `DROIDSIM_NO_MEMO=1` is the env form.
+/// * `--no-memo` — turn the warm path (`kernel::memo`) off for this
+///   process: every `GenericAppSpec::build` builds a fresh app core
+///   instead of sharing the built-app slot's. The correctness kill
+///   switch behind the memo ≡ cold parity gates; `DROIDSIM_NO_MEMO=1`
+///   is the env form.
 /// * `--version` — print the binary's name and version, then exit.
 ///
 /// Tokens the fleet layer does not recognize land in [`FleetCli::extra`]
@@ -80,7 +81,7 @@ pub struct FleetCli {
     pub supervised: bool,
     /// Supervision knobs assembled from the flags.
     pub options: FleetOptions,
-    /// Whether `--no-memo` was present (warm-path caches disabled).
+    /// Whether `--no-memo` was present (warm path disabled).
     pub no_memo: bool,
     /// Whether `--version` was present.
     pub version: bool,
@@ -114,9 +115,9 @@ impl FleetCli {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-        // Apply the kill switch before any workload code runs so the
-        // caches never see a probe in a `--no-memo` process. Leaving the
-        // flag off does not force-enable: `DROIDSIM_NO_MEMO` still wins.
+        // Apply the kill switch before any workload code runs so no
+        // build in a `--no-memo` process shares a core. Leaving the flag
+        // off does not force-enable: `DROIDSIM_NO_MEMO` still wins.
         if cli.no_memo {
             droidsim_kernel::memo::set_enabled(false);
         }

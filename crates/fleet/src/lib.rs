@@ -62,7 +62,7 @@ pub use supervise::{
     QuarantinedTask, TaskOutcome,
 };
 
-use droidsim_kernel::Xoshiro256;
+use droidsim_kernel::{lock_unpoisoned, Xoshiro256};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -204,13 +204,6 @@ impl TaskCtx {
     }
 }
 
-/// Takes a lock without honouring poisoning: no fleet worker panics
-/// while holding one (task code runs behind `catch_unwind`), and even
-/// if the invariant broke, one slot's poison must not cost the run.
-pub(crate) fn lock_slot<X>(m: &Mutex<X>) -> std::sync::MutexGuard<'_, X> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// The one-line recipe that reruns task `index` alone, inline, with the
 /// exact RNG stream it had in the fleet.
 pub(crate) fn repro(seed: u64, index: usize) -> String {
@@ -329,7 +322,7 @@ where
     // out of its slot rather than cloned.
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let attempt = |i: usize, fault| {
-        let item = lock_slot(&slots[i])
+        let item = lock_unpoisoned(&slots[i])
             .take()
             .expect("a task without retries is attempted once");
         supervise::isolate(fault, || run(TaskCtx::stream(cfg.seed, i), item))

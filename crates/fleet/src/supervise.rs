@@ -46,9 +46,10 @@ use std::time::{Duration, Instant};
 
 use droidsim_faults::{FaultPlan, FaultSite};
 use droidsim_kernel::journal::{self, AppendLog, Fields, LogError, NoFaults};
+use droidsim_kernel::lock_unpoisoned;
 use droidsim_metrics::FleetLedger;
 
-use crate::{combine_ordered, lock_slot, CancelToken, FleetConfig, TaskCtx};
+use crate::{combine_ordered, CancelToken, FleetConfig, TaskCtx};
 
 /// How one fleet task ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -620,7 +621,7 @@ where
                 Attempt::Done(r) => {
                     let digest = digest_of(&r);
                     if let Some(j) = &journal {
-                        let _ = lock_slot(j).record(i, "ok", Some(digest), attempt + 1);
+                        let _ = lock_unpoisoned(j).record(i, "ok", Some(digest), attempt + 1);
                     }
                     rec.digest = Some(digest);
                     rec.outcome = TaskOutcome::Ok(r);
@@ -638,7 +639,7 @@ where
         }
         let attempts = opts.max_retries + 1;
         if let Some(j) = &journal {
-            let _ = lock_slot(j).record(i, "quarantined", None, attempts);
+            let _ = lock_unpoisoned(j).record(i, "quarantined", None, attempts);
         }
         rec.outcome = match last_panic {
             Some(payload) => TaskOutcome::Panicked {
@@ -660,7 +661,7 @@ where
     crate::run_claiming_pool(cfg.jobs, n, |range| {
         for i in range {
             let rec = run_task(i);
-            *lock_slot(&records[i]) = Some(rec);
+            *lock_unpoisoned(&records[i]) = Some(rec);
         }
     });
 
@@ -674,7 +675,7 @@ where
     let mut outcomes = Vec::with_capacity(n);
     let mut digests = Vec::with_capacity(n);
     for (i, slot) in records.into_iter().enumerate() {
-        let rec = lock_slot(&slot)
+        let rec = lock_unpoisoned(&slot)
             .take()
             .unwrap_or_else(|| panic!("fleet slot {i} was never filled"));
         match &rec.outcome {

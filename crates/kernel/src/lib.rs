@@ -16,8 +16,10 @@
 //!   append log behind the fleet and daemon journals.
 //! * [`alloc_track`] — coarse allocation-event accounting so the fleet
 //!   ledger can report allocations-per-sim.
-//! * [`memo`] — shard-per-key, content-addressed memoization for the
-//!   warm-path caches (resolution, inflation).
+//! * [`memo`] — the warm-path kill switch (`--no-memo`,
+//!   `DROIDSIM_NO_MEMO`) that gates the built-app slot.
+//! * [`lock_unpoisoned`] — the one way the fleet and the daemon take a
+//!   mutex.
 //!
 //! # Examples
 //!
@@ -45,3 +47,13 @@ pub use intern::Symbol;
 pub use queue::{Event, EventQueue};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use time::{SimDuration, SimTime};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Takes `m` without honouring poisoning. Every lock the fleet and the
+/// daemon hold guards state that stays consistent between statements
+/// (task code runs behind `catch_unwind`), so a panic elsewhere must not
+/// cost the run or the service the lock.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -6,14 +6,10 @@
 //! view kinds at inflate time — mirroring how Android resolves XML tags —
 //! so this crate stays free of any view-system dependency.
 
-use droidsim_kernel::memo;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One node of a layout template.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutNode {
     /// View class name, e.g. `"TextView"`, `"ImageView"`, `"LinearLayout"`.
     pub class: String,
@@ -106,57 +102,9 @@ impl<'a> Iterator for LayoutIter<'a> {
     }
 }
 
-/// Lazily computed content digest of a template (0 = dirty). Mutation
-/// goes through [`LayoutTemplate::root_mut`], which resets the cell, so
-/// a non-zero value is always derived purely from `(name, root)` — two
-/// templates that compare equal always digest equal once computed. This
-/// is what lets the inflater key its memo cache without re-hashing a
-/// few hundred nodes on every probe.
-struct TemplateDigest(AtomicU64);
-
-impl TemplateDigest {
-    fn dirty() -> Self {
-        TemplateDigest(AtomicU64::new(0))
-    }
-
-    fn invalidate(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Clone for TemplateDigest {
-    fn clone(&self) -> Self {
-        TemplateDigest(AtomicU64::new(self.0.load(Ordering::Relaxed)))
-    }
-}
-
-impl Default for TemplateDigest {
-    fn default() -> Self {
-        TemplateDigest::dirty()
-    }
-}
-
-impl PartialEq for TemplateDigest {
-    /// Always equal: the digest is a cache over the template's content,
-    /// never independent state, so it must not influence equality.
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for TemplateDigest {}
-
-impl fmt::Debug for TemplateDigest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TemplateDigest({:#x})", self.0.load(Ordering::Relaxed))
-    }
-}
-
 /// A complete layout: a named template with a single root node.
 ///
-/// The fields are private so every mutation path can invalidate the
-/// cached [`content digest`](LayoutTemplate::content_digest); read
-/// access goes through [`name`](LayoutTemplate::name) and
+/// Read access goes through [`name`](LayoutTemplate::name) and
 /// [`root`](LayoutTemplate::root), mutation through
 /// [`root_mut`](LayoutTemplate::root_mut).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,17 +114,6 @@ pub struct LayoutTemplate {
     /// The root node — conventionally a view group that becomes the child
     /// of the window's decor view.
     root: LayoutNode,
-    digest: TemplateDigest,
-}
-
-impl Hash for LayoutTemplate {
-    /// Writes the cached [`content digest`](LayoutTemplate::content_digest),
-    /// so hashing a table that holds this template (its fingerprint) fills
-    /// the digest the inflater keys on instead of walking the nodes twice.
-    /// Equal templates digest equal, so this agrees with `Eq`.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.content_digest());
-    }
 }
 
 impl LayoutTemplate {
@@ -185,7 +122,6 @@ impl LayoutTemplate {
         LayoutTemplate {
             name: name.to_owned(),
             root,
-            digest: TemplateDigest::dirty(),
         }
     }
 
@@ -199,27 +135,9 @@ impl LayoutTemplate {
         &self.root
     }
 
-    /// Mutable access to the root node. Invalidates the cached content
-    /// digest — the next [`content_digest`](LayoutTemplate::content_digest)
-    /// call re-derives it from the mutated tree.
+    /// Mutable access to the root node.
     pub fn root_mut(&mut self) -> &mut LayoutNode {
-        self.digest.invalidate();
         &mut self.root
-    }
-
-    /// Content digest of the whole template, computed once and cached
-    /// until the template is mutated. Process-stable (an FNV fold over
-    /// the node tree), never zero, suitable as memo-cache key material —
-    /// not a cross-process fingerprint.
-    pub fn content_digest(&self) -> u64 {
-        let cached = self.digest.0.load(Ordering::Relaxed);
-        if cached != 0 {
-            return cached;
-        }
-        let d = memo::stable_hash(&(&self.name, &self.root));
-        let d = if d == 0 { memo::FNV_PRIME } else { d };
-        self.digest.0.store(d, Ordering::Relaxed);
-        d
     }
 
     /// Total node count.

@@ -11,9 +11,7 @@ use crate::error::ViewError;
 use crate::kind::ViewKind;
 use crate::tree::{ViewId, ViewTree};
 use droidsim_config::Configuration;
-use droidsim_kernel::memo::{self, Admission, MemoCache};
-use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
-use std::sync::{Once, OnceLock};
+use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 
 /// Statistics from one inflation, consumed by the cost model (per-view
 /// inflate cost, drawable decode bytes).
@@ -41,7 +39,7 @@ pub struct InflateStats {
 ///
 /// ```
 /// use droidsim_config::Configuration;
-/// use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
+/// use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 /// use droidsim_view::inflate;
 ///
 /// let template = LayoutTemplate::new(
@@ -59,87 +57,9 @@ pub fn inflate(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> (ViewTree, InflateStats) {
-    if memo::enabled() {
-        let key = inflate_key(template, resources, config, false);
-        match inflate_cache().probe(key) {
-            Admission::Hit(cached) => return (*cached).clone(),
-            Admission::Build => {
-                let built = inflate_cold(template, resources, config);
-                inflate_cache().publish(key, built.clone());
-                return built;
-            }
-            Admission::Skip => {}
-        }
-    }
-    inflate_cold(template, resources, config)
-}
-
-/// The uncached inflation walk shared by both memoized entry points.
-/// Resolution goes through a [`ConfigResolver`] handle: one memo probe
-/// for the whole walk, then a plain map read per attribute.
-fn inflate_cold(
-    template: &LayoutTemplate,
-    resources: &ResourceTable,
-    config: &Configuration,
-) -> (ViewTree, InflateStats) {
-    let mut tree = ViewTree::new();
-    let mut stats = InflateStats::default();
-    let resolver = resources.resolver(config);
-    let lenient = inflate_node(
-        template.root(),
-        tree.root(),
-        &mut tree,
-        &resolver,
-        &mut stats,
-        false,
-    );
+    let lenient = walk(template, resources, config, false);
     debug_assert!(lenient.is_ok(), "lenient inflation cannot fail");
-    (tree, stats)
-}
-
-/// The content-addressed key of one inflation: template digest, resource
-/// table fingerprint, configuration digest, and the strict/lenient bit.
-/// The strict bit keeps lenient results (which silently truncate
-/// malformed templates) from ever answering a strict probe that must
-/// error instead.
-type InflateKey = (u64, u64, u64, bool);
-
-fn inflate_key(
-    template: &LayoutTemplate,
-    resources: &ResourceTable,
-    config: &Configuration,
-    strict: bool,
-) -> InflateKey {
-    (
-        template.content_digest(),
-        resources.fingerprint(),
-        memo::stable_hash(config),
-        strict,
-    )
-}
-
-/// The process-wide inflated-template cache: a hit instantiates an
-/// activity's tree by cloning the Arc'd template instead of re-walking
-/// the layout and re-resolving every attribute. Errors are never cached
-/// (a failed strict inflation publishes nothing).
-///
-/// Admission takes three touches, not the default two: one activity
-/// creation inflates the same template twice (the shadow and the sunny
-/// instance), so a pair of probes is a single creation — only a third
-/// sighting proves the template recurs across creations and is worth
-/// the publish clone. A never-repeated template therefore costs two
-/// tombstone touches and nothing else.
-fn inflate_cache() -> &'static MemoCache<InflateKey, (ViewTree, InflateStats)> {
-    static CACHE: OnceLock<MemoCache<InflateKey, (ViewTree, InflateStats)>> = OnceLock::new();
-    static REGISTER: Once = Once::new();
-    let cache = CACHE.get_or_init(|| {
-        MemoCache::new("inflate", 256, |(tree, _): &(ViewTree, InflateStats)| {
-            tree.heap_bytes()
-        })
-        .with_admission_touches(3)
-    });
-    REGISTER.call_once(|| memo::register(cache));
-    cache
+    lenient.unwrap_or_default()
 }
 
 /// Strict form of [`inflate`]: a template that places children under a
@@ -150,7 +70,7 @@ fn inflate_cache() -> &'static MemoCache<InflateKey, (ViewTree, InflateStats)> {
 ///
 /// ```
 /// use droidsim_config::Configuration;
-/// use droidsim_resources::{ConfigResolver, LayoutNode, LayoutTemplate, ResourceTable};
+/// use droidsim_resources::{LayoutNode, LayoutTemplate, ResourceTable};
 /// use droidsim_view::{try_inflate, ViewError};
 ///
 /// let bad = LayoutTemplate::new(
@@ -165,37 +85,26 @@ pub fn try_inflate(
     resources: &ResourceTable,
     config: &Configuration,
 ) -> Result<(ViewTree, InflateStats), ViewError> {
-    if memo::enabled() {
-        let key = inflate_key(template, resources, config, true);
-        match inflate_cache().probe(key) {
-            Admission::Hit(cached) => return Ok((*cached).clone()),
-            Admission::Build => {
-                let built = try_inflate_cold(template, resources, config)?;
-                inflate_cache().publish(key, built.clone());
-                return Ok(built);
-            }
-            Admission::Skip => {}
-        }
-    }
-    try_inflate_cold(template, resources, config)
+    walk(template, resources, config, true)
 }
 
-/// The uncached strict inflation walk.
-fn try_inflate_cold(
+/// The walk both entry points share: a fresh tree under the decor view.
+fn walk(
     template: &LayoutTemplate,
     resources: &ResourceTable,
     config: &Configuration,
+    strict: bool,
 ) -> Result<(ViewTree, InflateStats), ViewError> {
     let mut tree = ViewTree::new();
     let mut stats = InflateStats::default();
-    let resolver = resources.resolver(config);
     inflate_node(
         template.root(),
         tree.root(),
         &mut tree,
-        &resolver,
+        resources,
+        config,
         &mut stats,
-        true,
+        strict,
     )?;
     Ok((tree, stats))
 }
@@ -204,7 +113,8 @@ fn inflate_node(
     node: &LayoutNode,
     parent: ViewId,
     tree: &mut ViewTree,
-    resources: &ConfigResolver<'_>,
+    resources: &ResourceTable,
+    config: &Configuration,
     stats: &mut InflateStats,
     strict: bool,
 ) -> Result<(), ViewError> {
@@ -220,13 +130,13 @@ fn inflate_node(
     for (key, value) in &node.attrs {
         match key.as_str() {
             "text" => {
-                let resolved = resolve_string(value, resources, stats);
+                let resolved = resolve_string(value, resources, config, stats);
                 if let Ok(v) = tree.view_mut(id) {
                     v.attrs.text = Some(resolved);
                 }
             }
             "src" => {
-                let (asset, bytes) = resolve_drawable(value, resources);
+                let (asset, bytes) = resolve_drawable(value, resources, config);
                 stats.drawable_bytes += bytes;
                 if let Ok(v) = tree.view_mut(id) {
                     v.attrs.drawable = Some((asset, bytes));
@@ -247,23 +157,35 @@ fn inflate_node(
     }
 
     for child in &node.children {
-        inflate_node(child, id, tree, resources, stats, strict)?;
+        inflate_node(child, id, tree, resources, config, stats, strict)?;
     }
     Ok(())
 }
 
-fn resolve_string(value: &str, resources: &ConfigResolver<'_>, stats: &mut InflateStats) -> String {
+fn resolve_string(
+    value: &str,
+    resources: &ResourceTable,
+    config: &Configuration,
+    stats: &mut InflateStats,
+) -> String {
     if let Some(name) = value.strip_prefix("@string/") {
         stats.strings_resolved += 1;
-        resources.resolve_string(name).unwrap_or(value).to_owned()
+        resources
+            .resolve_string(name, config)
+            .unwrap_or(value)
+            .to_owned()
     } else {
         value.to_owned()
     }
 }
 
-fn resolve_drawable(value: &str, resources: &ConfigResolver<'_>) -> (String, u64) {
+fn resolve_drawable(
+    value: &str,
+    resources: &ResourceTable,
+    config: &Configuration,
+) -> (String, u64) {
     if let Some(name) = value.strip_prefix("@drawable/") {
-        match resources.resolve_drawable(name) {
+        match resources.resolve_drawable(name, config) {
             Ok((asset, bytes)) => (asset.to_owned(), bytes),
             Err(_) => (value.to_owned(), 0),
         }
@@ -434,53 +356,6 @@ mod tests {
             .expect("well-formed");
         assert_eq!(ls, ss);
         assert_eq!(lenient.view_count(), strict.view_count());
-    }
-
-    #[test]
-    fn memoized_inflation_is_bit_identical_to_cold() {
-        let t = template();
-        let r = resources();
-        let config = Configuration::phone_portrait();
-        let cold = {
-            let was = memo::enabled();
-            memo::set_enabled(false);
-            let v = inflate(&t, &r, &config);
-            memo::set_enabled(was);
-            v
-        };
-        // Repeat enough times to pass three-touch admission and hit.
-        for _ in 0..4 {
-            let warm = inflate(&t, &r, &config);
-            assert_eq!(warm.0, cold.0, "trees identical");
-            assert_eq!(warm.1, cold.1, "stats identical");
-        }
-        for _ in 0..4 {
-            let warm = try_inflate(&t, &r, &config).expect("well-formed");
-            assert_eq!(warm.0, cold.0);
-            assert_eq!(warm.1, cold.1);
-        }
-    }
-
-    #[test]
-    fn lenient_cache_entries_never_answer_strict_probes() {
-        let bad = LayoutTemplate::new(
-            "bad-memo",
-            LayoutNode::new("TextView")
-                .with_id("leaf-memo")
-                .with_child(LayoutNode::new("Button").with_id("orphan-memo")),
-        );
-        let r = ResourceTable::new();
-        let config = Configuration::phone_portrait();
-        // Warm the lenient side of the key space thoroughly…
-        for _ in 0..4 {
-            let (tree, _) = inflate(&bad, &r, &config);
-            assert!(tree.find_by_id_name("orphan-memo").is_none());
-        }
-        // …and the strict side must still reject every time.
-        for _ in 0..4 {
-            let err = try_inflate(&bad, &r, &config);
-            assert!(matches!(err, Err(ViewError::NotAContainer { .. })));
-        }
     }
 
     #[test]

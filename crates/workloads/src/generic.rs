@@ -1006,14 +1006,11 @@ mod tests {
             let after = spec.build();
             let cold = GenericApp::new(spec.clone());
             assert_ne!(
-                after.resources().fingerprint(),
-                before.resources().fingerprint(),
+                after.resources(),
+                before.resources(),
                 "the mutation changes the table"
             );
-            assert_eq!(
-                after.resources().fingerprint(),
-                cold.resources().fingerprint()
-            );
+            assert_eq!(after.resources(), cold.resources());
             assert_eq!(after.spec(), &spec);
         }
     }

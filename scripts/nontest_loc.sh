@@ -21,9 +21,12 @@ git rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
     exit 2
 }
 
-# Lines above the first `#[cfg(test)]` on stdin.
+# Lines above the first `#[cfg(test)]` on stdin. Reads to the end
+# rather than exiting at the marker: an early exit closes the pipe on a
+# still-writing `git show`, and with `pipefail` its SIGPIPE aborts the
+# script.
 nontest() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { done = 1 } !done { n++ } END { print n + 0 }'
 }
 
 total_before=0

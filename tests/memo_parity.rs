@@ -1,16 +1,14 @@
-//! The memo ≡ cold contract: the warm-path caches (`kernel::memo` —
-//! resolved resource views and inflated templates, plus the built-app
-//! slot behind `GenericAppSpec::build`) are pure
-//! memoization. Disabling them with the kill switch, evicting them
-//! under pressure, or invalidating them mid-workload must never change
-//! a single observable digest — at any worker count, with faults
-//! injected, for arbitrary app specs.
+//! The memo ≡ cold contract: the warm path (the built-app slot behind
+//! `GenericAppSpec::build`, gated by the `kernel::memo` kill switch) is
+//! pure memoization. Disabling it must never change a single observable
+//! digest — at any worker count, with faults injected, for arbitrary app
+//! specs.
 //!
 //! The tests toggle the process-global memo switch, so every test in
 //! this binary serialises on [`FLAG_LOCK`] and restores the enabled
 //! state on exit (panic included) via [`MemoGuard`].
 
-use droidsim_analysis::{analyze_specs, AppAnalysis, AppShape, Suppressions};
+use droidsim_analysis::{analyze_specs, AppShape, Suppressions};
 use droidsim_app::{Activity, ActivityInstanceId, AppModel, SimpleApp};
 use droidsim_atms::ActivityRecordId;
 use droidsim_config::Configuration;
@@ -51,9 +49,8 @@ const DEVICES: usize = 8;
 const FAULT_RATE: f64 = 0.05;
 
 /// One faulty device workload, digesting everything observable — the
-/// same shape as the fleet determinism suite, so the memo caches see
-/// the full resolve → inflate path (and the uncached mapping build
-/// after it) under degradation.
+/// same shape as the fleet determinism suite: resolve, inflate and the
+/// mapping build under degradation.
 fn device_digest(fault_seed: u64, jitter_seed: u64) -> u64 {
     let mut d = Device::new(HandlingMode::rchdroid_default()).with_jitter(jitter_seed, 0.1);
     let c = d
@@ -172,8 +169,8 @@ proptest! {
 
     /// Any app spec, driven through the table5-style handling scenario
     /// under both systems, produces bit-identical outcomes with the
-    /// caches on and off — including the warm re-run that actually
-    /// hits the caches.
+    /// caches on and off — including the warm re-run that reuses the
+    /// built-app slot.
     #[test]
     fn any_app_spec_runs_identically_with_and_without_memo(spec in spec_strategy()) {
         let _serial = FLAG_LOCK.lock().unwrap();
@@ -194,81 +191,6 @@ proptest! {
                 "{}: warm pass {} diverged from the cold run", spec.name, pass
             );
         }
-    }
-}
-
-/// The analyzer's shape extraction runs through the resolve and inflate
-/// caches of the `kernel::memo` registry. Cold (memo off), first-warm
-/// (fills), second-warm (hits), and post-reclaim / post-invalidate
-/// analyses of the same corpus must produce identical per-app digests
-/// — diagnostics, verdicts and suppression counts.
-#[test]
-fn shape_memoization_never_changes_analysis_results() {
-    let _serial = FLAG_LOCK.lock().unwrap();
-    let specs: Vec<GenericAppSpec> = rch_workloads::tp27_specs()
-        .into_iter()
-        .chain(rch_workloads::dataloss_specs().into_iter().step_by(23))
-        .collect();
-    let digest_all = || -> Vec<u64> {
-        specs
-            .iter()
-            .map(|s| AppAnalysis::of(s, &Suppressions::none()).digest())
-            .collect()
-    };
-    let cold = {
-        let _off = MemoGuard::set(false);
-        digest_all()
-    };
-    let _on = MemoGuard::set(true);
-    assert_eq!(
-        digest_all(),
-        cold,
-        "first warm pass fills the resolve and inflate caches"
-    );
-    assert_eq!(
-        digest_all(),
-        cold,
-        "second warm pass hits the resolve and inflate caches"
-    );
-    memo::reclaim_all();
-    assert_eq!(digest_all(), cold, "reclaim never changes analysis results");
-    memo::invalidate_all();
-    assert_eq!(digest_all(), cold, "invalidation never changes results");
-}
-
-#[test]
-fn eviction_and_invalidation_under_pressure_never_change_results() {
-    let _serial = FLAG_LOCK.lock().unwrap();
-    let cold = {
-        let _off = MemoGuard::set(false);
-        device_digest(42, 7)
-    };
-    let _on = MemoGuard::set(true);
-    // Warm the caches, then interleave the daemon's pressure responses
-    // (reclaim halves every shard; invalidate buries every generation)
-    // between and with repeated runs: every single run must still
-    // reproduce the cold digest.
-    for round in 0..4 {
-        assert_eq!(
-            device_digest(42, 7),
-            cold,
-            "round {round}: warm run diverged before reclaim"
-        );
-        match round % 3 {
-            0 => {
-                memo::reclaim_all();
-            }
-            1 => memo::invalidate_all(),
-            _ => {
-                memo::reclaim_all();
-                memo::invalidate_all();
-            }
-        }
-        assert_eq!(
-            device_digest(42, 7),
-            cold,
-            "round {round}: warm run diverged after reclaim/invalidate"
-        );
     }
 }
 
@@ -320,6 +242,9 @@ fn lint_corpus() -> Vec<GenericAppSpec> {
     .concat()
 }
 
+/// The report digest folds every app's digest (diagnostics, verdicts
+/// and suppression counts), so this also holds each app's analysis equal
+/// with the warm path on and off, and across repeated warm passes.
 #[test]
 fn lint_report_gives_the_committed_digest_with_and_without_the_caches() {
     let _serial = FLAG_LOCK.lock().unwrap();

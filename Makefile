@@ -11,9 +11,8 @@ ci: build test perfbench-test fmt clippy doc fault-matrix fleet-determinism \
 	memo-parity bench-smoke lint-study dataloss-study soak daemon-soak \
 	chaos-soak
 
-# Seeds for the fault-injection suite. Debug builds keep the
-# batched-vs-eager equivalence checker armed, so each seed also
-# cross-checks the two flush policies against each other.
+# Seeds for the fault-injection suite: each seed runs every probe site
+# through the degradation ladder once.
 FAULT_SEEDS ?= 1 2 3 5 8
 
 # `--locked`: a change that adds or drops a dependency must commit the

@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use droidsim_config::{Configuration, Orientation, UiMode};
-use droidsim_kernel::SimTime;
 use droidsim_resources::{Qualifiers, ResourceTable, ResourceValue};
 use droidsim_view::{ViewKind, ViewOp, ViewTree};
 use rchdroid::MigrationEngine;
@@ -61,7 +60,7 @@ fn bench(c: &mut Criterion) {
                 |(mut shadow, mut sunny, mut engine)| {
                     black_box(
                         engine
-                            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+                            .migrate_invalidations(&mut shadow, &mut sunny)
                             .unwrap(),
                     )
                 },

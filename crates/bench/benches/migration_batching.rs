@@ -1,15 +1,13 @@
-//! Eager vs. batched lazy migration under the Fig. 10 workload shape:
-//! the paper's 27-view benchmark app with a chatty async task that
-//! invalidates every view several times before the frame deadline.
+//! Lazy migration under the Fig. 10 workload shape: the paper's 27-view
+//! benchmark app with a chatty async task that invalidates every view
+//! several times before the frame deadline.
 //!
-//! Eager mode pays one `copy_essence` per delivered invalidation;
-//! the batched fast path coalesces repeated invalidations of the same
-//! view in the dirty queue and drains each view once at flush time.
+//! Migration is eager: every delivery drains the shadow tree's
+//! invalidations and pays one `copy_essence` per invalidated view.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use droidsim_kernel::{SimDuration, SimTime};
+use criterion::{criterion_group, criterion_main, Criterion};
 use droidsim_view::{ViewKind, ViewOp, ViewTree};
-use rchdroid::{FlushPolicy, MigrationEngine};
+use rchdroid::MigrationEngine;
 use std::hint::black_box;
 
 /// The paper's benchmark app view count (Fig. 7/8/10).
@@ -37,13 +35,10 @@ struct Rig {
     frames: Vec<String>,
 }
 
-fn coupled(policy: FlushPolicy) -> Rig {
+fn coupled() -> Rig {
     let mut shadow = tree_with(VIEWS);
     let mut sunny = tree_with(VIEWS);
-    let mut engine = MigrationEngine::with_flush_policy(policy);
-    // The checker replays the whole batch eagerly — benchmark the
-    // production path, not the debug oracle.
-    engine.set_equivalence_checking(false);
+    let mut engine = MigrationEngine::new();
     engine.build_mapping(&mut shadow, &mut sunny);
     // Pre-resolve lookups so the measured loop is invalidation +
     // migration, not string formatting.
@@ -60,9 +55,8 @@ fn coupled(policy: FlushPolicy) -> Rig {
     }
 }
 
-/// One "delivery": every view is invalidated once, then the engine sees
-/// the invalidations. Repeated `ROUNDS` times, ending with a flush so
-/// the batched variant does its (single) drain inside the measurement.
+/// One "delivery": every view is invalidated once, then the engine
+/// migrates the invalidations. Repeated `ROUNDS` times.
 fn chatty_task(rig: &mut Rig) -> usize {
     let mut migrated = 0;
     for round in 0..ROUNDS {
@@ -71,58 +65,24 @@ fn chatty_task(rig: &mut Rig) -> usize {
                 .apply(v, ViewOp::SetDrawable(rig.frames[round].clone(), 64))
                 .unwrap();
         }
-        let now = SimTime::ZERO + SimDuration::from_millis(round as u64);
         migrated += rig
             .engine
-            .migrate_invalidations(&mut rig.shadow, &mut rig.sunny, now)
+            .migrate_invalidations(&mut rig.shadow, &mut rig.sunny)
             .unwrap()
             .migrated;
     }
-    migrated += rig
-        .engine
-        .flush(&mut rig.shadow, &mut rig.sunny)
-        .unwrap()
-        .migrated;
     migrated
 }
 
 fn bench(c: &mut Criterion) {
-    // Headline comparison printed like the figure benches: one run of
-    // each mode plus the coalescing counters the batched path records.
-    {
-        let mut rig = coupled(FlushPolicy::batched(
-            VIEWS * ROUNDS,
-            SimDuration::from_millis(16),
-        ));
-        chatty_task(&mut rig);
-        println!(
-            "migration_batching: {} views x {} rounds -> {}",
-            VIEWS,
-            ROUNDS,
-            rig.engine.metrics()
-        );
-    }
-
     let mut group = c.benchmark_group("migration_batching");
-    for (name, policy) in [
-        ("eager", FlushPolicy::Eager),
-        (
-            "batched",
-            FlushPolicy::batched(VIEWS * ROUNDS, SimDuration::from_millis(16)),
-        ),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new(name, format!("{VIEWS}v x {ROUNDS}r")),
-            &policy,
-            |b, policy| {
-                b.iter_batched(
-                    || coupled(*policy),
-                    |mut rig| black_box(chatty_task(&mut rig)),
-                    criterion::BatchSize::SmallInput,
-                );
-            },
+    group.bench_function(&format!("eager/{VIEWS}v x {ROUNDS}r"), |b| {
+        b.iter_batched(
+            coupled,
+            |mut rig| black_box(chatty_task(&mut rig)),
+            criterion::BatchSize::SmallInput,
         );
-    }
+    });
     group.finish();
 }
 

@@ -9,22 +9,13 @@
 //! the *essence* of an invalidated shadow view to its sunny peer with a
 //! per-type policy (Table 1).
 //!
-//! Two paths do the copying, both resolving peers through those pointers:
-//!
-//! * **eager** ([`FlushPolicy::Eager`], the default): every drained
-//!   invalidation migrates immediately — the paper's behaviour,
-//! * **batched** ([`FlushPolicy::Batched`]): drained invalidations land
-//!   in a coalescing [`DirtyQueue`] and migrate as one batch when a count
-//!   or deadline trigger fires. Because the essence copy reads the
-//!   *current* shadow attributes, flushing once after N invalidations
-//!   produces the same sunny tree as migrating each one eagerly — a
-//!   debug-mode checker replays the eager path on a clone and asserts
-//!   exactly that after every flush.
+//! Migration is eager, as in the paper: every async delivery drains the
+//! shadow tree's recorded invalidations and copies each invalidated
+//! view's essence to its sunny peer, resolved through those pointers,
+//! before the delivery returns.
 
-use crate::batch::{DirtyEntry, DirtyQueue, FlushPolicy};
 use crate::supervise::{FaultLog, FaultRecord, MigrationError, MigrationWatchdog};
 use droidsim_faults::{FaultPlan, FaultSite};
-use droidsim_kernel::SimTime;
 use droidsim_metrics::MigrationMetrics;
 use droidsim_view::{MigrationClass, ViewError, ViewId, ViewOp, ViewTree};
 use std::panic::{self, AssertUnwindSafe};
@@ -39,28 +30,14 @@ pub struct MigrationReport {
     /// Invalidated views with no peer in the sunny tree (e.g. anonymous
     /// or removed in the new layout).
     pub unmapped: usize,
-    /// Raw invalidations that coalesced into an already-pending entry —
-    /// essence copies the batched path skipped relative to eager (always
-    /// 0 under [`FlushPolicy::Eager`] for single-delivery drains, where
-    /// the per-delivery dedup happens in the tree itself).
+    /// Raw invalidations that folded into an already-invalidated view of
+    /// the same delivery (the tree records each view once per drain, so
+    /// one essence copy serves them all).
     pub coalesced: usize,
     /// Views whose migration faulted and was contained per-view (rung 1
     /// of the degradation ladder): the view was skipped and marked
     /// stale, the rest of the batch migrated.
     pub contained: usize,
-}
-
-impl MigrationReport {
-    /// Merges two reports.
-    pub fn merge(self, other: MigrationReport) -> MigrationReport {
-        MigrationReport {
-            examined: self.examined + other.examined,
-            migrated: self.migrated + other.migrated,
-            unmapped: self.unmapped + other.unmapped,
-            coalesced: self.coalesced + other.coalesced,
-            contained: self.contained + other.contained,
-        }
-    }
 }
 
 /// Copies the migratable essence of `shadow_view` (in `shadow`) onto its
@@ -149,16 +126,13 @@ fn copy_essence(
 /// The coupling between a shadow tree and a sunny tree.
 ///
 /// The essence mapping itself lives in the trees' sunny-peer pointers
-/// (the paper's "sunny view pointer"); the engine holds the coalescing
-/// dirty queue, the [`FlushPolicy`] that decides when the queue drains,
-/// and lifetime [`MigrationMetrics`].
+/// (the paper's "sunny view pointer"); the engine holds the flush-path
+/// supervision (fault plan, watchdog, stale set) and lifetime
+/// [`MigrationMetrics`].
 #[derive(Debug, Clone)]
 pub struct MigrationEngine {
     mapped_views: usize,
-    policy: FlushPolicy,
-    queue: DirtyQueue,
     metrics: MigrationMetrics,
-    check_equivalence: bool,
     /// Fault schedule probed on the flush path (sites
     /// `essence-mapping-miss`, `attribute-copy`,
     /// `flush-deadline-overrun`). Disarmed by default.
@@ -167,10 +141,10 @@ pub struct MigrationEngine {
     fault_log: FaultLog,
     /// Views skipped by rung-1 containment since the last mapping build.
     stale_views: Vec<ViewId>,
-    /// Reusable flush-batch buffer: the queue drains into it and the
-    /// emptied vector returns after the flush, so steady-state flushing
-    /// allocates nothing per call.
-    flush_scratch: Vec<DirtyEntry>,
+    /// Reusable flush-batch buffer: the shadow tree's drained `(view, raw
+    /// count)` entries land in it and the emptied vector returns after
+    /// the flush, so steady-state flushing allocates nothing per call.
+    flush_scratch: Vec<(ViewId, usize)>,
 }
 
 impl Default for MigrationEngine {
@@ -180,21 +154,11 @@ impl Default for MigrationEngine {
 }
 
 impl MigrationEngine {
-    /// Creates an engine with no coupling built and the paper's eager
-    /// flush policy.
+    /// Creates an engine with no coupling built.
     pub fn new() -> Self {
-        MigrationEngine::with_flush_policy(FlushPolicy::Eager)
-    }
-
-    /// Creates an engine with an explicit flush policy. The debug-mode
-    /// batched≡eager equivalence checker is on in debug builds.
-    pub fn with_flush_policy(policy: FlushPolicy) -> Self {
         MigrationEngine {
             mapped_views: 0,
-            policy,
-            queue: DirtyQueue::new(),
             metrics: MigrationMetrics::new(),
-            check_equivalence: cfg!(debug_assertions),
             faults: FaultPlan::disarmed(),
             watchdog: MigrationWatchdog::default(),
             fault_log: FaultLog::default(),
@@ -234,33 +198,15 @@ impl MigrationEngine {
         self.fault_log.drain()
     }
 
-    /// Tears the engine's side of the coupling down: pending queue, the
-    /// stale set and the mapped count. Called when a fallback restart
+    /// Tears the engine's side of the coupling down: the stale set and
+    /// the mapped count. Called when a fallback restart
     /// abandons shadow/sunny handling and destroys the partner tree; with
     /// no shadow left nothing migrates until the next
     /// [`MigrationEngine::build_mapping`] overwrites the survivor's peer
     /// pointers, so nothing can migrate toward a destroyed tree.
     pub fn reset_coupling(&mut self) {
-        self.queue.clear();
         self.stale_views.clear();
         self.mapped_views = 0;
-    }
-
-    /// The flush policy in force.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
-    /// Changes the flush policy. Pending entries stay queued; a switch to
-    /// [`FlushPolicy::Eager`] drains them on the next delivery.
-    pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
-        self.policy = policy;
-    }
-
-    /// Enables/disables the debug-mode equivalence checker (it is a
-    /// no-op in release builds regardless).
-    pub fn set_equivalence_checking(&mut self, on: bool) {
-        self.check_equivalence = on;
     }
 
     /// Lifetime flush/coalescing metrics.
@@ -271,9 +217,8 @@ impl MigrationEngine {
     /// Builds the essence-based mapping **both ways**: each tree's views
     /// store peers into the other, so a coin flip swaps roles without
     /// rebuilding (the paper: the flip "avoids … the building of the
-    /// essence-based mapping"). Both the eager and the batched path
-    /// resolve through these pointers. Any stale queue is dropped.
-    /// Returns the number of shadow views mapped.
+    /// essence-based mapping"). Migration resolves peers through these
+    /// pointers. Returns the number of shadow views mapped.
     pub fn build_mapping(&mut self, shadow: &mut ViewTree, sunny: &mut ViewTree) -> usize {
         // The indexes are cached on the trees (maintained incrementally on
         // structural ops), so this no longer re-traverses either hierarchy.
@@ -281,7 +226,6 @@ impl MigrationEngine {
         let shadow_index = shadow.id_name_index().clone();
         let mapped = shadow.set_sunny_peers(sunny.id_name_index());
         sunny.set_sunny_peers(&shadow_index);
-        self.queue.clear();
         self.stale_views.clear();
         self.mapped_views = mapped;
         mapped
@@ -292,68 +236,10 @@ impl MigrationEngine {
         self.mapped_views
     }
 
-    /// Coalesced entries waiting for a flush.
-    pub fn pending_entries(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Raw invalidations absorbed into the pending queue.
-    pub fn pending_raw(&self) -> usize {
-        self.queue.raw_pending()
-    }
-
-    /// Whether the flush policy says the pending queue should drain now.
-    pub fn flush_due(&self, now: SimTime) -> bool {
-        if self.queue.is_empty() {
-            return false;
-        }
-        match self.policy {
-            FlushPolicy::Eager => true,
-            FlushPolicy::Batched {
-                max_pending,
-                max_delay,
-            } => self.queue.len() >= max_pending || self.queue.deadline_due(now, max_delay),
-        }
-    }
-
-    /// Drops the pending queue without migrating (the coupling is gone —
-    /// e.g. the sunny instance died with the app).
-    pub fn discard_pending(&mut self) {
-        self.queue.clear();
-    }
-
     /// Lazy migration: drains the shadow tree's recorded invalidations
-    /// into the coalescing queue and, when the flush policy fires (always,
-    /// for [`FlushPolicy::Eager`]), migrates each queued view's essence to
-    /// its sunny peer. Returns the report of what *this call* flushed — an
-    /// empty report means the updates are queued, not lost.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MigrationError`] when the flush aborts: an injected
-    /// uncontainable fault, a watchdog overrun, or an app-crashing
-    /// sunny-tree error. Per-view faults never error — they are contained
-    /// and counted in [`MigrationReport::contained`].
-    pub fn migrate_invalidations(
-        &mut self,
-        shadow: &mut ViewTree,
-        sunny: &mut ViewTree,
-        now: SimTime,
-    ) -> Result<MigrationReport, MigrationError> {
-        let queue = &mut self.queue;
-        shadow.drain_dirty_with(|view, mask, raw| {
-            queue.enqueue(view, mask, raw, now);
-        });
-        if self.flush_due(now) {
-            self.flush(shadow, sunny)
-        } else {
-            Ok(MigrationReport::default())
-        }
-    }
-
-    /// Unconditionally drains the pending queue to the sunny tree (the
-    /// handler calls this before any shadow/sunny role change so queued
-    /// updates can never migrate in a stale direction).
+    /// and migrates each invalidated view's essence to its sunny peer.
+    /// Returns the report of what this call migrated (empty when nothing
+    /// was invalidated).
     ///
     /// Rung 1 of the degradation ladder lives here: a fault touching one
     /// view (injected essence-map miss or attribute-copy error, a panic
@@ -365,60 +251,52 @@ impl MigrationEngine {
     /// Returns a [`MigrationError`] only for faults that poison the whole
     /// flush: an injected `flush-deadline-overrun`, a watchdog budget
     /// overrun, or an app-crashing sunny-tree error (released tree,
-    /// leaked window) that stock Android would die on too.
-    pub fn flush(
+    /// leaked window) that stock Android would die on too. Per-view faults
+    /// never error — they are contained and counted in
+    /// [`MigrationReport::contained`].
+    pub fn migrate_invalidations(
         &mut self,
         shadow: &mut ViewTree,
         sunny: &mut ViewTree,
     ) -> Result<MigrationReport, MigrationError> {
-        if self.queue.is_empty() {
-            return Ok(MigrationReport::default());
-        }
-        if self.faults.should_inject(FaultSite::FlushDeadlineOverrun) {
-            self.queue.clear();
-            return Err(MigrationError::Injected {
-                site: FaultSite::FlushDeadlineOverrun,
-            });
-        }
-        if let Some(needed) = self.watchdog.exceeded(self.queue.len()) {
-            self.queue.clear();
-            return Err(MigrationError::DeadlineExceeded {
-                budget: self.watchdog.budget,
-                needed,
-            });
-        }
         // Drain into the engine's reusable batch buffer; it is handed
         // back (emptied, capacity kept) whichever way the flush ends.
         let mut batch = std::mem::take(&mut self.flush_scratch);
-        self.queue.drain_into(&mut batch);
-        let result = self.flush_batch(shadow, sunny, &batch);
+        shadow.drain_invalidations_into(&mut batch);
+        let result = self.flush(shadow, sunny, &batch);
         batch.clear();
         self.flush_scratch = batch;
         result
     }
 
-    /// The body of [`MigrationEngine::flush`] over an already-drained
-    /// batch.
-    fn flush_batch(
+    /// The body of [`MigrationEngine::migrate_invalidations`] over one
+    /// drained batch of `(view, raw count)` entries.
+    fn flush(
         &mut self,
-        shadow: &mut ViewTree,
+        shadow: &ViewTree,
         sunny: &mut ViewTree,
-        batch: &[DirtyEntry],
+        batch: &[(ViewId, usize)],
     ) -> Result<MigrationReport, MigrationError> {
-        let raw: usize = batch.iter().map(|e| e.raw).sum();
-
-        #[cfg(debug_assertions)]
-        let reference = if self.check_equivalence {
-            Some(eager_reference(shadow, sunny, batch))
-        } else {
-            None
-        };
-
+        if batch.is_empty() {
+            return Ok(MigrationReport::default());
+        }
+        if self.faults.should_inject(FaultSite::FlushDeadlineOverrun) {
+            return Err(MigrationError::Injected {
+                site: FaultSite::FlushDeadlineOverrun,
+            });
+        }
+        if let Some(needed) = self.watchdog.exceeded(batch.len()) {
+            return Err(MigrationError::DeadlineExceeded {
+                budget: self.watchdog.budget,
+                needed,
+            });
+        }
+        let raw: usize = batch.iter().map(|&(_, raw)| raw).sum();
         let started = std::time::Instant::now();
         let mut report = MigrationReport::default();
-        for entry in batch {
+        for &(view, _) in batch {
             report.examined += 1;
-            let mapped = shadow.view(entry.view).ok().and_then(|n| n.sunny_peer);
+            let mapped = shadow.view(view).ok().and_then(|n| n.sunny_peer);
             let peer = if self.faults.should_inject(FaultSite::EssenceMappingMiss) {
                 None
             } else {
@@ -428,38 +306,27 @@ impl MigrationEngine {
                 // A genuinely anonymous view is business as usual; a view
                 // that *was* mapped losing its peer is a contained fault.
                 if mapped.is_some() {
-                    self.contain(entry.view, FaultSite::EssenceMappingMiss, &mut report);
+                    self.contain(view, FaultSite::EssenceMappingMiss, &mut report);
                 } else {
                     report.unmapped += 1;
                 }
                 continue;
             };
             if self.faults.should_inject(FaultSite::AttributeCopy) {
-                self.contain(entry.view, FaultSite::AttributeCopy, &mut report);
+                self.contain(view, FaultSite::AttributeCopy, &mut report);
                 continue;
             }
-            match panic::catch_unwind(AssertUnwindSafe(|| {
-                copy_essence(shadow, sunny, entry.view, peer)
-            })) {
+            match panic::catch_unwind(AssertUnwindSafe(|| copy_essence(shadow, sunny, view, peer)))
+            {
                 Ok(Ok(())) => report.migrated += 1,
                 Ok(Err(e)) if e.is_crash() => return Err(MigrationError::Tree(e)),
-                Ok(Err(_)) => self.contain(entry.view, FaultSite::AttributeCopy, &mut report),
-                Err(_) => self.contain(entry.view, FaultSite::AttributeCopy, &mut report),
+                Ok(Err(_)) => self.contain(view, FaultSite::AttributeCopy, &mut report),
+                Err(_) => self.contain(view, FaultSite::AttributeCopy, &mut report),
             }
         }
         report.coalesced = raw.saturating_sub(report.examined);
         self.metrics
             .record_flush(report.examined, raw, started.elapsed().as_nanos() as u64);
-
-        #[cfg(debug_assertions)]
-        if let Some(reference) = reference {
-            // A contained fault intentionally diverges from the eager
-            // replay (the skipped view keeps its old sunny state), so the
-            // equivalence invariant only holds for fault-free flushes.
-            if report.contained == 0 {
-                assert_equivalent_to_eager(sunny, &reference);
-            }
-        }
         Ok(report)
     }
 
@@ -554,36 +421,6 @@ impl MigrationEngine {
     }
 }
 
-/// Replays the *eager* path for `batch` on a clone of the sunny tree:
-/// each queued view migrates through [`migrate_view`] in queue order,
-/// independently of the batched flush's bookkeeping. Per-view errors are
-/// skipped, mirroring the supervised path's rung-1 containment (the
-/// assert is skipped whenever containment fired, so tolerating them here
-/// can never mask a real divergence).
-#[cfg(debug_assertions)]
-fn eager_reference(shadow: &ViewTree, sunny: &ViewTree, batch: &[DirtyEntry]) -> ViewTree {
-    let mut reference = sunny.clone();
-    for entry in batch {
-        let _ = migrate_view(shadow, &mut reference, entry.view);
-    }
-    reference
-}
-
-/// Asserts the batched flush produced exactly the sunny tree that eager
-/// migration would have: same attributes on every live view.
-#[cfg(debug_assertions)]
-fn assert_equivalent_to_eager(sunny: &ViewTree, reference: &ViewTree) {
-    sunny.for_each_id(|id| {
-        let (Ok(got), Ok(want)) = (sunny.view(id), reference.view(id)) else {
-            return;
-        };
-        assert_eq!(
-            got.attrs, want.attrs,
-            "batched flush diverged from eager migration on {id}"
-        );
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,7 +490,7 @@ mod tests {
             .unwrap();
 
         let report = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(report.examined, 5);
         assert_eq!(report.migrated, 5);
@@ -683,7 +520,7 @@ mod tests {
             .apply(anon, ViewOp::SetText("nobody sees this".into()))
             .unwrap();
         let report = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(report.unmapped, 1);
         assert_eq!(report.migrated, 0);
@@ -696,7 +533,7 @@ mod tests {
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         sunny.drain_invalidations();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert!(!sunny.drain_invalidations().is_empty(), "sunny redraws");
     }
@@ -707,10 +544,10 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let second = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(second.examined, 0);
     }
@@ -737,7 +574,7 @@ mod tests {
         let hero = shadow.find_by_id_name("hero").unwrap();
         shadow.apply(hero, ViewOp::SetVisible(false)).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let s_hero = sunny.find_by_id_name("hero").unwrap();
         assert!(!sunny.view(s_hero).unwrap().attrs.visible);
@@ -757,7 +594,7 @@ mod tests {
         let f = shadow.find_by_id_name("fancy").unwrap();
         shadow.apply(f, ViewOp::SetText("styled".into())).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let sf = sunny.find_by_id_name("fancy").unwrap();
         assert_eq!(
@@ -766,100 +603,14 @@ mod tests {
         );
     }
 
-    fn batched_engine(max_pending: usize, max_delay_ms: u64) -> FlushPolicy {
-        FlushPolicy::batched(
-            max_pending,
-            droidsim_kernel::SimDuration::from_millis(max_delay_ms),
-        )
-    }
-
-    #[test]
-    fn batched_policy_queues_until_count_trigger() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(3, 1_000));
-        let name = shadow.find_by_id_name("name").unwrap();
-        let bar = shadow.find_by_id_name("bar").unwrap();
-
-        // Two distinct views: below the count trigger, nothing flushes.
-        shadow.apply(name, ViewOp::SetText("a".into())).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(r.examined, 0);
-        shadow.apply(bar, ViewOp::SetProgress(10)).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(1))
-            .unwrap();
-        assert_eq!(r.examined, 0);
-        assert_eq!(engine.pending_entries(), 2);
-        let s_name = sunny.find_by_id_name("name").unwrap();
-        assert_eq!(sunny.view(s_name).unwrap().attrs.text, None, "not yet");
-
-        // Third distinct view reaches max_pending → the batch drains.
-        let hero = shadow.find_by_id_name("hero").unwrap();
-        shadow.apply(hero, ViewOp::SetVisible(false)).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(2))
-            .unwrap();
-        assert_eq!(r.examined, 3);
-        assert_eq!(r.migrated, 3);
-        assert_eq!(engine.pending_entries(), 0);
-        assert_eq!(sunny.view(s_name).unwrap().attrs.text.as_deref(), Some("a"));
-    }
-
-    #[test]
-    fn batched_flush_applies_last_write_per_attribute() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 1_000));
-        let bar = shadow.find_by_id_name("bar").unwrap();
-        // A chatty progress bar: 10 updates, one queue entry.
-        for p in 1..=10 {
-            shadow.apply(bar, ViewOp::SetProgress(p * 10)).unwrap();
-            engine
-                .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(p as u64))
-                .unwrap();
-        }
-        assert_eq!(engine.pending_entries(), 1);
-        assert_eq!(engine.pending_raw(), 10);
-        let r = engine.flush(&mut shadow, &mut sunny).unwrap();
-        assert_eq!(r.examined, 1, "ten raw updates, one essence copy");
-        assert_eq!(r.coalesced, 9);
-        let s_bar = sunny.find_by_id_name("bar").unwrap();
-        assert_eq!(
-            sunny.view(s_bar).unwrap().attrs.progress,
-            Some(100),
-            "last write wins"
-        );
-    }
-
-    #[test]
-    fn deadline_trigger_flushes_a_stale_queue() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 16));
-        let name = shadow.find_by_id_name("name").unwrap();
-        shadow.apply(name, ViewOp::SetText("late".into())).unwrap();
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(100))
-            .unwrap();
-        assert_eq!(r.examined, 0);
-        assert!(!engine.flush_due(SimTime::from_millis(110)));
-        assert!(engine.flush_due(SimTime::from_millis(116)));
-        // An empty delivery at/after the deadline still drains the queue.
-        let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::from_millis(120))
-            .unwrap();
-        assert_eq!(r.migrated, 1);
-    }
-
     #[test]
     fn peer_pointers_resolve_across_a_coin_flip() {
         let (mut side0, mut side1, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(1, 0));
         // Forward direction: side0 is the shadow.
         let name = side0.find_by_id_name("name").unwrap();
         side0.apply(name, ViewOp::SetText("fwd".into())).unwrap();
         engine
-            .migrate_invalidations(&mut side0, &mut side1, SimTime::ZERO)
+            .migrate_invalidations(&mut side0, &mut side1)
             .unwrap();
         // Coin flip: roles swap, the mapping is NOT rebuilt. Side1 is now
         // the shadow; resolution goes through side1's own peer pointers.
@@ -868,7 +619,7 @@ mod tests {
             .apply(peer_name, ViewOp::SetText("rev".into()))
             .unwrap();
         let r = engine
-            .migrate_invalidations(&mut side1, &mut side0, SimTime::ZERO)
+            .migrate_invalidations(&mut side1, &mut side0)
             .unwrap();
         assert_eq!(r.migrated, 1);
         assert_eq!(side0.view(name).unwrap().attrs.text.as_deref(), Some("rev"));
@@ -888,16 +639,15 @@ mod tests {
         };
         let (mut side0, first0, _) = build();
         let (mut side1, _, second1) = build();
-        let mut engine = MigrationEngine::with_flush_policy(batched_engine(100, 1_000));
+        let mut engine = MigrationEngine::new();
         engine.build_mapping(&mut side0, &mut side1);
         // Coin flip, then the old sunny side's second "dup" updates.
         side1
             .apply(second1, ViewOp::SetText("second".into()))
             .unwrap();
-        engine
-            .migrate_invalidations(&mut side1, &mut side0, SimTime::ZERO)
+        let r = engine
+            .migrate_invalidations(&mut side1, &mut side0)
             .unwrap();
-        let r = engine.flush(&mut side1, &mut side0).unwrap();
         assert_eq!(r.migrated, 1, "the update is not dropped");
         assert_eq!(
             side0.view(first0).unwrap().attrs.text.as_deref(),
@@ -907,15 +657,15 @@ mod tests {
 
     #[test]
     fn metrics_track_batches_and_coalescing() {
+        // One delivery of k = 3 raw invalidations over m = 2 views.
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(2, 1_000));
         let name = shadow.find_by_id_name("name").unwrap();
         let bar = shadow.find_by_id_name("bar").unwrap();
         shadow.apply(name, ViewOp::SetText("a".into())).unwrap();
         shadow.apply(name, ViewOp::SetText("b".into())).unwrap();
         shadow.apply(bar, ViewOp::SetProgress(1)).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         let m = engine.metrics();
         assert_eq!(m.flushes, 1);
@@ -929,17 +679,15 @@ mod tests {
     #[test]
     fn eager_default_flushes_every_delivery() {
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        assert!(engine.flush_policy().is_eager());
         let name = shadow.find_by_id_name("name").unwrap();
         for i in 0..4 {
             shadow
                 .apply(name, ViewOp::SetText(format!("v{i}")))
                 .unwrap();
             let r = engine
-                .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+                .migrate_invalidations(&mut shadow, &mut sunny)
                 .unwrap();
             assert_eq!(r.migrated, 1);
-            assert_eq!(engine.pending_entries(), 0);
         }
         assert_eq!(engine.metrics().flushes, 4);
         assert!((engine.metrics().coalesce_ratio() - 1.0).abs() < 1e-12);
@@ -954,7 +702,7 @@ mod tests {
         shadow.apply(name, ViewOp::SetText("a".into())).unwrap();
         shadow.apply(bar, ViewOp::SetProgress(42)).unwrap();
         let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(r.examined, 2);
         assert_eq!(r.contained, 1, "one view skipped");
@@ -971,7 +719,7 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("lost".into())).unwrap();
         let r = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
         assert_eq!(r.contained, 1);
         assert_eq!(r.unmapped, 0, "a mapped view losing its peer is a fault");
@@ -985,10 +733,14 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         let err = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap_err();
         assert_eq!(err.site(), Some(FaultSite::FlushDeadlineOverrun));
-        assert_eq!(engine.pending_entries(), 0, "aborted batch is dropped");
+        assert_eq!(engine.metrics().flushes, 0, "aborted batch is dropped");
+        let next = engine
+            .migrate_invalidations(&mut shadow, &mut sunny)
+            .unwrap();
+        assert_eq!(next.examined, 0, "nothing of it migrates later");
     }
 
     #[test]
@@ -1001,7 +753,7 @@ mod tests {
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         let err = engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap_err();
         assert!(matches!(err, MigrationError::DeadlineExceeded { .. }));
         assert_eq!(err.site(), Some(FaultSite::FlushDeadlineOverrun));
@@ -1010,30 +762,15 @@ mod tests {
     #[test]
     fn reset_coupling_clears_everything() {
         let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 1_000));
+        engine.arm_faults(FaultPlan::seeded(3).on_nth_probe(FaultSite::AttributeCopy, 1));
         let name = shadow.find_by_id_name("name").unwrap();
         shadow.apply(name, ViewOp::SetText("x".into())).unwrap();
         engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
+            .migrate_invalidations(&mut shadow, &mut sunny)
             .unwrap();
-        assert_eq!(engine.pending_entries(), 1);
+        assert_eq!(engine.stale_views().len(), 1);
         engine.reset_coupling();
-        assert_eq!(engine.pending_entries(), 0);
         assert_eq!(engine.mapped_views(), 0);
         assert!(engine.stale_views().is_empty());
-    }
-
-    #[test]
-    fn rebuilding_the_mapping_drops_a_stale_queue() {
-        let (mut shadow, mut sunny, mut engine) = coupled_trees();
-        engine.set_flush_policy(batched_engine(100, 1_000));
-        let name = shadow.find_by_id_name("name").unwrap();
-        shadow.apply(name, ViewOp::SetText("stale".into())).unwrap();
-        engine
-            .migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(engine.pending_entries(), 1);
-        engine.build_mapping(&mut shadow, &mut sunny);
-        assert_eq!(engine.pending_entries(), 0);
     }
 }

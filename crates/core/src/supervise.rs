@@ -143,7 +143,7 @@ impl fmt::Display for LadderRung {
 pub struct MigrationWatchdog {
     /// Maximum virtual time one flush may cost.
     pub budget: SimDuration,
-    /// Modelled cost of migrating one queued entry.
+    /// Modelled cost of migrating one invalidated view.
     pub per_entry_cost: SimDuration,
 }
 

@@ -828,30 +828,8 @@ impl Device {
                     }
                 }
             }
-            // Frame boundary: a batched flush policy may have a deadline
-            // due even when no further delivery arrives. No-op for the
-            // default eager policy.
             if self.mode.is_rchdroid() {
-                if let Some(p) = self.apps.get_mut(&component) {
-                    if p.crashed.is_none() {
-                        if let Err(e) = p.rch.on_frame_tick(
-                            &mut p.thread,
-                            &mut self.atms,
-                            p.model.as_ref(),
-                            now,
-                        ) {
-                            Self::mark_crashed(
-                                &mut self.atms,
-                                &mut self.events,
-                                p,
-                                &component,
-                                now,
-                                e.to_string(),
-                            );
-                        }
-                    }
-                    Self::drain_fault_records(&mut self.events, p, &component, now);
-                }
+                Self::drain_fault_records(&mut self.events, p, &component, now);
             }
         }
     }

@@ -13,8 +13,8 @@ use crate::registry::ledger;
 use crate::stats::Histogram;
 
 ledger! {
-    /// Everything one device's handler measured: the batched-migration
-    /// counters and the fault-ladder ledger. Its deterministic
+    /// Everything one device's handler measured: the lazy-migration
+    /// flush counters and the fault-ladder ledger. Its deterministic
     /// fingerprint is what fleet determinism digests hash: it must be
     /// bit-identical between serial and parallel runs of the same seeds.
     pub struct DeviceMetrics as "device" {

@@ -1,35 +1,37 @@
-//! Instrumentation for the batched lazy-migration path.
+//! Instrumentation for lazy migration.
 //!
-//! The eager path (the paper's baseline) copies class essence on *every*
-//! `invalidate()` delivered while an activity is shadowed. The batched
-//! path queues invalidations and drains them in bursts, so two questions
-//! decide whether batching is worth it:
+//! Each async delivery to a shadowed activity drains the shadow tree's
+//! recorded `invalidate()` calls and copies the essence of every
+//! invalidated view once (the paper's §3.3). Two things describe that
+//! work:
 //!
-//! * **coalesce ratio** — raw invalidations per coalesced queue entry.
-//!   A ratio of 4 means four `invalidate()` calls collapsed into one
-//!   essence copy; 1.0 means batching bought nothing.
-//! * **flush behaviour** — how big batches get and how long a flush
-//!   takes, captured as [`Histogram`]s of per-batch entry counts and
-//!   wall-clock flush latency.
+//! * **coalesce ratio** — raw invalidations per migrated view. A ratio
+//!   of 4 means four `invalidate()` calls on one view within one delivery
+//!   collapsed into one essence copy; 1.0 means every view was
+//!   invalidated once.
+//! * **flush behaviour** — how many views a delivery migrates and how
+//!   long that takes, captured as [`Histogram`]s of per-flush entry
+//!   counts and wall-clock flush latency.
 //!
 //! [`MigrationMetrics`] accumulates all of these over an engine's
-//! lifetime; the fig10-style benchmarks and the handler tests read them
-//! back to verify the fast path actually coalesces.
+//! lifetime; device fingerprints and the handler tests read them back.
 
 use crate::registry::ledger;
 use crate::stats::Histogram;
 
 ledger! {
     /// Lifetime counters and distributions for one migration engine.
-    /// Batching is driven by the simulated invalidation stream, so the
+    /// Flushes are driven by the simulated invalidation stream, so the
     /// counters and batch sizes are `det`; the flush latency is host
     /// wall clock, so it is `diag`.
     pub struct MigrationMetrics as "migration" {
-        /// Number of flushes performed (eager single-view drains count too).
+        /// Number of flushes performed (one per delivery that drained at
+        /// least one invalidated view).
         pub det flushes: u64,
         /// Raw `invalidate()` deliveries observed before coalescing.
         pub det raw_invalidations: u64,
-        /// Coalesced queue entries actually migrated (≤ raw).
+        /// Distinct invalidated views examined, one per view per flush
+        /// (≤ raw).
         pub det coalesced_entries: u64,
         /// Per-flush batch size in coalesced entries.
         pub det batch_size: Histogram,
@@ -54,7 +56,8 @@ impl MigrationMetrics {
     }
 
     /// Raw invalidations per coalesced entry (≥ 1 once anything was
-    /// flushed; 1.0 when batching saved nothing; 0 when idle).
+    /// flushed; 1.0 when no view was invalidated twice in one delivery;
+    /// 0 when idle).
     pub fn coalesce_ratio(&self) -> f64 {
         if self.coalesced_entries == 0 {
             0.0

@@ -45,5 +45,5 @@ pub use error::ViewError;
 pub use inflate::{inflate, try_inflate, InflateStats};
 pub use kind::{MigrationClass, ViewKind};
 pub use layout::{layout, LayoutResult, Rect};
-pub use ops::{DirtyMask, ViewOp};
+pub use ops::ViewOp;
 pub use tree::{ViewId, ViewNode, ViewTree};

@@ -21,7 +21,7 @@
 use crate::attrs::ViewAttrs;
 use crate::error::ViewError;
 use crate::kind::ViewKind;
-use crate::ops::{DirtyMask, ViewOp};
+use crate::ops::ViewOp;
 use droidsim_bundle::Bundle;
 use droidsim_kernel::{alloc_track, Symbol};
 use std::cell::RefCell;
@@ -126,12 +126,12 @@ pub struct ViewTree {
     root: ViewId,
     released: bool,
     /// Pending invalidations, coalesced *at insert time*: one entry per
-    /// dirty view in first-invalidation order, carrying the OR-ed dirty
-    /// mask and the raw invalidation count that folded into it. Draining
-    /// is a linear sweep over this vector — no per-drain hash map.
-    pending: Vec<(ViewId, DirtyMask, usize)>,
+    /// dirty view in first-invalidation order, carrying the raw
+    /// invalidation count that folded into it. Draining is a linear sweep
+    /// over this vector — no per-drain hash map.
+    pending: Vec<(ViewId, usize)>,
     /// View → position in `pending`, so a repeat invalidation is an O(1)
-    /// in-place OR instead of a new entry.
+    /// in-place count bump instead of a new entry.
     pending_pos: HashMap<ViewId, usize>,
     /// Raw (uncoalesced) invalidations since the last drain.
     raw_pending: usize,
@@ -360,7 +360,6 @@ impl ViewTree {
     /// Liveness errors; [`ViewError::InapplicableOp`] when the op does not
     /// fit the view's migration class.
     pub fn apply(&mut self, id: ViewId, op: ViewOp) -> Result<(), ViewError> {
-        let dirty = op.dirty_bit();
         let node = self.view_mut(id)?;
         let class = node.kind.migration_class();
         if !op.applies_to(class) {
@@ -390,8 +389,7 @@ impl ViewTree {
             ViewOp::SetEnabled(e) => node.attrs.enabled = e,
             ViewOp::SetVisible(v) => node.attrs.visible = v,
         }
-        self.invalidate_attrs(id, dirty)?;
-        Ok(())
+        self.invalidate(id)
     }
 
     /// Marks a view dirty. In stock Android this schedules a redraw; the
@@ -399,28 +397,16 @@ impl ViewTree {
     /// lazy migration, so the simulator records each invalidation for a
     /// change handler to drain.
     ///
-    /// A bare `invalidate` carries no information about *what* changed,
-    /// so it conservatively marks every attribute dirty. Mutations routed
-    /// through [`ViewTree::apply`] record the precise bit instead.
+    /// Coalescing happens here, at insert time: a repeat invalidation
+    /// bumps the view's existing entry, so draining is a plain sweep.
     pub fn invalidate(&mut self, id: ViewId) -> Result<(), ViewError> {
-        self.invalidate_attrs(id, DirtyMask::all())
-    }
-
-    /// Marks a view dirty for a known set of attributes. Coalescing
-    /// happens here, at insert time: a repeat invalidation ORs into the
-    /// view's existing entry, so draining is a plain sweep.
-    pub fn invalidate_attrs(&mut self, id: ViewId, dirty: DirtyMask) -> Result<(), ViewError> {
         self.view(id)?;
         self.raw_pending += 1;
         match self.pending_pos.entry(id) {
-            Entry::Occupied(e) => {
-                let entry = &mut self.pending[*e.get()];
-                entry.1 |= dirty;
-                entry.2 += 1;
-            }
+            Entry::Occupied(e) => self.pending[*e.get()].1 += 1,
             Entry::Vacant(e) => {
                 e.insert(self.pending.len());
-                self.pending.push((id, dirty, 1));
+                self.pending.push((id, 1));
             }
         }
         Ok(())
@@ -429,41 +415,21 @@ impl ViewTree {
     /// Drains the invalidations recorded since the last drain, in order,
     /// de-duplicated (a view invalidated twice migrates once).
     pub fn drain_invalidations(&mut self) -> Vec<ViewId> {
-        self.drain_dirty().into_iter().map(|(id, _)| id).collect()
-    }
-
-    /// Drains pending invalidations together with the coalesced dirty
-    /// mask of each view: first-invalidation order, one entry per view,
-    /// masks OR-ed across all of the view's invalidations.
-    pub fn drain_dirty(&mut self) -> Vec<(ViewId, DirtyMask)> {
-        self.drain_dirty_counted()
-            .into_iter()
-            .map(|(id, mask, _)| (id, mask))
-            .collect()
-    }
-
-    /// Like [`ViewTree::drain_dirty`], but each entry also carries the
-    /// number of raw invalidations that coalesced into it — what the
-    /// batched migration queue needs for its coalesce-ratio accounting.
-    pub fn drain_dirty_counted(&mut self) -> Vec<(ViewId, DirtyMask, usize)> {
         alloc_track::note(1);
         self.pending_pos.clear();
         self.raw_pending = 0;
-        self.pending.drain(..).collect()
+        self.pending.drain(..).map(|(id, _)| id).collect()
     }
 
-    /// Zero-allocation drain: streams each coalesced `(view, mask, raw
-    /// count)` entry into `f` in first-invalidation order and resets the
-    /// pending state, keeping buffer capacity for the next frame. This
-    /// is the migration engine's hot path;
-    /// [`ViewTree::drain_dirty_counted`] is the allocating convenience
-    /// wrapper.
-    pub fn drain_dirty_with(&mut self, mut f: impl FnMut(ViewId, DirtyMask, usize)) {
+    /// Zero-allocation drain: appends each coalesced `(view, raw count)`
+    /// entry to `out` in first-invalidation order and resets the pending
+    /// state, keeping both buffers' capacity. This is the migration
+    /// engine's hot path; [`ViewTree::drain_invalidations`] is the
+    /// allocating convenience form.
+    pub fn drain_invalidations_into(&mut self, out: &mut Vec<(ViewId, usize)>) {
         self.pending_pos.clear();
         self.raw_pending = 0;
-        for (id, mask, count) in self.pending.drain(..) {
-            f(id, mask, count);
-        }
+        out.append(&mut self.pending);
     }
 
     /// Raw (uncoalesced) number of invalidations recorded since the last
@@ -738,6 +704,8 @@ mod tests {
         assert_eq!(t.drain_invalidations(), vec![text, image]);
     }
 
+    /// One coalesced entry per dirty view, in first-invalidation order,
+    /// carrying the raw number of invalidations that folded into it.
     #[test]
     fn drain_dirty_coalesces_masks_per_view() {
         let (mut t, _, text, image) = tree_with_views();
@@ -745,26 +713,28 @@ mod tests {
         t.apply(text, ViewOp::SetEnabled(false)).unwrap();
         t.apply(image, ViewOp::SetDrawable("x.png".into(), 10))
             .unwrap();
-        t.apply(text, ViewOp::SetText("b".into())).unwrap();
+        t.invalidate(text).unwrap();
         assert_eq!(t.pending_invalidation_count(), 4);
         assert_eq!(t.pending_dirty_views(), 2);
-        let drained = t.drain_dirty();
-        assert_eq!(
-            drained,
-            vec![
-                (text, DirtyMask::TEXT | DirtyMask::ENABLED),
-                (image, DirtyMask::DRAWABLE),
-            ]
-        );
-        assert!(t.drain_dirty().is_empty(), "drain consumes");
+        let mut drained = Vec::new();
+        t.drain_invalidations_into(&mut drained);
+        assert_eq!(drained, vec![(text, 3), (image, 1)]);
+        t.drain_invalidations_into(&mut drained);
+        assert_eq!(drained.len(), 2, "drain consumes");
         assert_eq!(t.pending_invalidation_count(), 0);
     }
 
+    /// Dirty state is kept per view, not per attribute: a bare
+    /// invalidate marks the whole view, as an attribute op does.
     #[test]
     fn bare_invalidate_marks_all_attrs() {
         let (mut t, _, text, _) = tree_with_views();
         t.invalidate(text).unwrap();
-        assert_eq!(t.drain_dirty(), vec![(text, DirtyMask::all())]);
+        assert_eq!(t.pending_invalidation_count(), 1);
+        assert_eq!(t.pending_dirty_views(), 1);
+        let mut drained = Vec::new();
+        t.drain_invalidations_into(&mut drained);
+        assert_eq!(drained, vec![(text, 1)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! state on exit (panic included) via [`MemoGuard`].
 
 use droidsim_analysis::{analyze_specs, AppShape, Suppressions};
-use droidsim_app::{Activity, ActivityInstanceId, AppModel, SimpleApp};
+use droidsim_app::{Activity, ActivityInstanceId, AppModel};
 use droidsim_atms::ActivityRecordId;
 use droidsim_config::Configuration;
 use droidsim_device::{Device, HandlingMode};
@@ -49,20 +49,29 @@ const DEVICES: usize = 8;
 const FAULT_RATE: f64 = 0.05;
 
 /// One faulty device workload, digesting everything observable — the
-/// same shape as the fleet determinism suite: resolve, inflate and the
-/// mapping build under degradation.
-fn device_digest(fault_seed: u64, jitter_seed: u64) -> u64 {
+/// same shape as the fleet determinism suite, on an app that
+/// `GenericAppSpec::build` made: resolve, inflate and the mapping build
+/// under degradation. The spec is built twice, so with the warm path on
+/// the installed app shares the first build's core through the
+/// built-app slot.
+fn device_digest(index: usize, fault_seed: u64, jitter_seed: u64) -> u64 {
+    let spec = GenericAppSpec::sized(
+        &format!("parity-app-{index}"),
+        "1M+",
+        index.is_multiple_of(2),
+    )
+    .with_async_task();
+    let _warm = spec.build();
     let mut d = Device::new(HandlingMode::rchdroid_default()).with_jitter(jitter_seed, 0.1);
     let c = d
-        .install_and_launch(Box::new(SimpleApp::with_views(4)), 40 << 20, 1.0)
+        .install_and_launch(Box::new(spec.build()), spec.base_memory_bytes, 1.0)
         .unwrap();
     d.arm_faults(
         &c,
         FaultPlan::seeded(fault_seed).with_rate_everywhere(FAULT_RATE),
     )
     .unwrap();
-    d.start_async_on_foreground(SimpleApp::with_views(4).button_task())
-        .unwrap();
+    d.start_async_on_foreground(spec.async_task()).unwrap();
     let _ = d.rotate();
     d.advance(SimDuration::from_secs(6));
     if !d.is_crashed(&c) {
@@ -78,10 +87,10 @@ fn device_digest(fault_seed: u64, jitter_seed: u64) -> u64 {
     digest.finish()
 }
 
-fn device_task(mut ctx: TaskCtx, _i: usize) -> u64 {
+fn device_task(mut ctx: TaskCtx, i: usize) -> u64 {
     let fault_seed = ctx.rng.next_u64();
     let jitter_seed = ctx.rng.next_u64();
-    device_digest(fault_seed, jitter_seed)
+    device_digest(i, fault_seed, jitter_seed)
 }
 
 fn fleet_digests(jobs: usize, seed: u64) -> Vec<u64> {

@@ -1,9 +1,8 @@
 //! Property tests on RCHDroid's essence-based mapping and lazy migration.
 
-use droidsim_kernel::{SimDuration, SimTime};
 use droidsim_view::{ViewId, ViewKind, ViewOp, ViewTree};
 use proptest::prelude::*;
-use rchdroid::{FlushPolicy, MigrationEngine};
+use rchdroid::{migrate_view, MigrationEngine};
 
 /// Builds two trees with the same id names (as two inflations of one
 /// layout would) containing `n` views of assorted migratable kinds.
@@ -73,7 +72,7 @@ proptest! {
             let view = shadow.find_by_id_name(&format!("v{i}")).unwrap();
             shadow.apply(view, op_for(i, *payload)).unwrap();
         }
-        engine.migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO).unwrap();
+        engine.migrate_invalidations(&mut shadow, &mut sunny).unwrap();
 
         // Every updated view's migratable essence matches on the peer.
         for i in 0..n {
@@ -104,10 +103,10 @@ proptest! {
             let view = shadow.find_by_id_name(&format!("v{i}")).unwrap();
             shadow.apply(view, op_for(i, *payload)).unwrap();
         }
-        engine.migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO).unwrap();
+        engine.migrate_invalidations(&mut shadow, &mut sunny).unwrap();
         let snapshot = sunny.clone();
         // A second pass with no new invalidations changes nothing.
-        let report = engine.migrate_invalidations(&mut shadow, &mut sunny, SimTime::ZERO).unwrap();
+        let report = engine.migrate_invalidations(&mut shadow, &mut sunny).unwrap();
         prop_assert_eq!(report.examined, 0);
         prop_assert_eq!(format!("{:?}", sunny), format!("{:?}", snapshot));
     }
@@ -172,9 +171,9 @@ proptest! {
 }
 
 /// One step of a shadow-instance lifetime: an app update to some view, an
-/// async delivery draining invalidations into the engine, or a runtime
-/// configuration change (which swaps the shadow/sunny roles — and, like
-/// the handler, flushes any batched queue *before* the swap).
+/// async delivery migrating the recorded invalidations, or a runtime
+/// configuration change (which swaps the shadow/sunny roles — after,
+/// like the handler, delivering what the shadow recorded).
 #[derive(Debug, Clone)]
 enum Step {
     Update { which: usize, payload: i32 },
@@ -182,29 +181,48 @@ enum Step {
     ConfigChange,
 }
 
-/// A coupled pair plus the engine driving it, with roles that can swap.
+/// A coupled pair with roles that can swap, migrated either by the
+/// engine or (`engine: None`) by the plain reference: drain each
+/// delivery with `drain_invalidations` and call [`migrate_view`] per id
+/// in order.
 struct System {
     trees: [ViewTree; 2],
     shadow: usize,
-    engine: MigrationEngine,
-    clock: SimTime,
+    engine: Option<MigrationEngine>,
 }
 
 impl System {
-    fn new(n: usize, names: usize, policy: FlushPolicy) -> System {
-        let (shadow, sunny, mut engine) = coupled_trees_named(n, names);
-        engine.set_flush_policy(policy);
+    fn new(n: usize, names: usize, use_engine: bool) -> System {
+        let (shadow, sunny, engine) = coupled_trees_named(n, names);
         System {
             trees: [shadow, sunny],
             shadow: 0,
-            engine,
-            clock: SimTime::ZERO,
+            engine: use_engine.then_some(engine),
+        }
+    }
+
+    fn deliver(&mut self) {
+        let [a, b] = &mut self.trees;
+        let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
+        match &mut self.engine {
+            Some(engine) => {
+                engine.migrate_invalidations(shadow, sunny).unwrap();
+            }
+            None => {
+                for id in shadow.drain_invalidations() {
+                    // A repeated id name can pair views of different
+                    // classes; the copy's error then skips the view, as
+                    // the engine's per-view containment does.
+                    if let Err(e) = migrate_view(shadow, sunny, id) {
+                        assert!(!e.is_crash(), "{e}");
+                    }
+                }
+            }
         }
     }
 
     fn run(&mut self, n: usize, script: &[Step]) {
         for step in script {
-            self.clock += SimDuration::from_millis(1);
             match step {
                 Step::Update { which, payload } => {
                     let i = which % n;
@@ -212,37 +230,15 @@ impl System {
                     let view = nth_view(t, i);
                     t.apply(view, op_for(i, *payload)).unwrap();
                 }
-                Step::Deliver => {
-                    let [a, b] = &mut self.trees;
-                    let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-                    self.engine
-                        .migrate_invalidations(shadow, sunny, self.clock)
-                        .unwrap();
-                }
+                Step::Deliver => self.deliver(),
                 Step::ConfigChange => {
-                    let [a, b] = &mut self.trees;
-                    let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-                    // The handler delivers outstanding callbacks and flushes
-                    // the engine queue before any role change, so no applied
-                    // update is ever stranded across a swap.
-                    self.engine
-                        .migrate_invalidations(shadow, sunny, self.clock)
-                        .unwrap();
-                    self.engine.flush(shadow, sunny).unwrap();
+                    self.deliver();
                     self.shadow = 1 - self.shadow;
                 }
             }
         }
-        // End of scenario: drain whatever is still queued.
-        let [a, b] = &mut self.trees;
-        let (shadow, sunny) = if self.shadow == 0 { (a, b) } else { (b, a) };
-        let raw = shadow.pending_invalidation_count();
-        if raw > 0 {
-            self.engine
-                .migrate_invalidations(shadow, sunny, self.clock)
-                .unwrap();
-        }
-        self.engine.flush(shadow, sunny).unwrap();
+        // End of scenario: deliver whatever is still recorded.
+        self.deliver();
     }
 }
 
@@ -257,40 +253,34 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole invariant: for ANY interleaving of view updates,
-    /// async deliveries and configuration changes, a batched engine ends
-    /// with bit-identical trees to an eager engine fed the same script.
-    /// (Each batched flush additionally self-checks against an eager
-    /// replay via the engine's debug-mode equivalence checker.) Layouts
-    /// may repeat id names, so several views share one peer.
+    /// For ANY interleaving of view updates, async deliveries and
+    /// configuration changes, the engine's supervised flush loop ends
+    /// with trees identical to the plain `migrate_view` replay fed the
+    /// same script. Layouts may repeat id names, so several views share
+    /// one peer, and role swaps migrate through the reverse pointers.
     #[test]
-    fn batched_flush_is_equivalent_to_eager_migration(
+    fn engine_equals_a_migrate_view_replay(
         n in 1usize..16,
         names_seed in any::<usize>(),
         script in proptest::collection::vec(step_strategy(), 0..48),
-        max_pending in 1usize..10,
-        max_delay_ms in 0u64..32,
     ) {
         let names = 1 + names_seed % n;
-        let mut eager = System::new(n, names, FlushPolicy::Eager);
-        let mut batched = System::new(
-            n,
-            names,
-            FlushPolicy::batched(max_pending, SimDuration::from_millis(max_delay_ms)),
-        );
-        eager.run(n, &script);
-        batched.run(n, &script);
+        let mut engine = System::new(n, names, true);
+        let mut replay = System::new(n, names, false);
+        engine.run(n, &script);
+        replay.run(n, &script);
 
         for side in 0..2 {
-            for id in eager.trees[side].iter_ids() {
-                let want = eager.trees[side].view(id).unwrap();
-                let got = batched.trees[side].view(id).unwrap();
+            for id in replay.trees[side].iter_ids() {
+                let want = replay.trees[side].view(id).unwrap();
+                let got = engine.trees[side].view(id).unwrap();
                 prop_assert_eq!(
                     &want.attrs,
                     &got.attrs,
                     "side {} view {} diverged", side, id
                 );
             }
+            prop_assert!(engine.trees[side] == replay.trees[side], "side {} differs", side);
         }
     }
 }
